@@ -140,7 +140,7 @@ runSimScenario(const sim::ComputationDag &dag,
                uint64_t seed, bool adapt,
                const sim::InterferenceTrace *trace)
 {
-    sim::SimConfig cfg = sim::SimConfig::adaptiveNumaWs();
+    sim::SimConfig cfg;
     cfg.seed = seed;
     cfg.interference = trace;
     cfg.sched.serving.interference = adapt ? InterferencePolicy::Adapt

@@ -256,7 +256,7 @@ runSimScenario(const SimMix &mix, const SimScenario &sc,
                    < sc.deadline_frac * 100.0)
             jobs[i].deadlineCycles = at[i] + deadline_cycles;
     }
-    sim::SimConfig cfg = sim::SimConfig::adaptiveNumaWs();
+    sim::SimConfig cfg;
     cfg.modelParking = true;
     cfg.sched.parkSpinFailures = 4;
     cfg.seed = seed;

@@ -114,7 +114,7 @@ struct Measured
 sim::SimConfig
 configOf(const Cell &cell, uint64_t seed)
 {
-    sim::SimConfig c = sim::SimConfig::adaptiveNumaWs();
+    sim::SimConfig c;
     // Enable the parking model: park after a handful of fruitless
     // probes, the regime Runtime::mainLoop enters after its spin budget.
     // Every cell sets both policy axes explicitly, so the grid keeps
@@ -144,7 +144,6 @@ threadedRows(JsonReport &report, double scale, int workers)
         RuntimeOptions o;
         o.numWorkers = workers;
         o.numPlaces = workers >= 4 ? 4 : (workers >= 2 ? 2 : 1);
-        o.sched.hierarchicalSteals = true;
         o.sched.parkPolicy = cell.park;
         o.sched.pushTarget = cell.push;
         Runtime rt(o);

@@ -257,7 +257,7 @@ runPreemptScenario(const PreemptMix &mix, const PreemptScenario &sc,
         if (sc.deadlineSvc > 0.0 && mix.deadlined[i])
             jobs[i].deadlineCycles = at[i] + sc.deadlineSvc * svc_cycles;
     }
-    sim::SimConfig cfg = sim::SimConfig::adaptiveNumaWs();
+    sim::SimConfig cfg;
     cfg.modelParking = sc.parking;
     cfg.sched.parkSpinFailures = 4;
     cfg.seed = seed;

@@ -315,7 +315,7 @@ makeSimJobs(const SimMix &mix, double util, int cores, double ghz,
 sim::SimConfig
 simConfig(bool elastic, uint64_t seed)
 {
-    sim::SimConfig c = sim::SimConfig::adaptiveNumaWs();
+    sim::SimConfig c;
     c.modelParking = elastic;
     c.sched.parkSpinFailures = 4;
     c.seed = seed;

@@ -47,8 +47,6 @@ KEY_FIELDS = (
     "engine",
     "workload",
     "policy",
-    "victims",
-    "escalation",
     "park",
     "push",
     "tuning",

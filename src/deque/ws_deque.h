@@ -12,14 +12,20 @@
  * Terminology matches the paper: the *head* is where thieves steal (oldest
  * work) and the *tail* is where the owner works (youngest work). The ABP
  * analysis calls these "top" and "bottom".
+ *
+ * Memory ordering follows the C11 Chase-Lev form: slots are atomics
+ * accessed relaxed (a plain mov on x86), and the owner's release store of
+ * the tail in pushTail pairs with the thief's acquire load of the tail in
+ * stealHead, so a thief that sees an item also sees the slot write and
+ * every write the owner made to the task it points to.
  */
 #ifndef NUMAWS_DEQUE_WS_DEQUE_H
 #define NUMAWS_DEQUE_WS_DEQUE_H
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
-#include <vector>
 
 #include "support/cache_aligned.h"
 #include "support/panic.h"
@@ -43,7 +49,7 @@ class WsDeque
 {
   public:
     explicit WsDeque(std::size_t capacity = 8192)
-        : _buffer(capacity, nullptr), _capacity(capacity)
+        : _buffer(new std::atomic<T *>[capacity]), _capacity(capacity)
     {
         NUMAWS_ASSERT(capacity >= 2);
     }
@@ -53,7 +59,7 @@ class WsDeque
 
     /**
      * Owner-only: push @p item at the tail. This is the work path — one
-     * relaxed store plus one release store.
+     * relaxed slot store plus one release store of the tail.
      */
     void
     pushTail(T *item)
@@ -73,7 +79,7 @@ class WsDeque
                              "depth exceeds the configured bound",
                              _capacity);
         }
-        _buffer[static_cast<std::size_t>(t) % _capacity] = item;
+        slot(t).store(item, std::memory_order_relaxed);
         // Publish the element before advertising the new tail to thieves.
         _tail.store(t + 1, std::memory_order_release);
     }
@@ -96,14 +102,14 @@ class WsDeque
             // No conflict possible: at least one item remains below any
             // concurrent thief's claim.
             if (h < t)
-                return _buffer[static_cast<std::size_t>(t) % _capacity];
+                return slot(t).load(std::memory_order_relaxed);
             // Exactly one item: race a thief for it under the lock.
             T *item = nullptr;
             {
                 std::lock_guard<SpinLock> g(_lock);
                 const int64_t h2 = _head.load(std::memory_order_relaxed);
                 if (h2 <= t) {
-                    item = _buffer[static_cast<std::size_t>(t) % _capacity];
+                    item = slot(t).load(std::memory_order_relaxed);
                 } else {
                     // Thief won; restore the tail to the empty position.
                     _tail.store(t + 1, std::memory_order_relaxed);
@@ -132,62 +138,14 @@ class WsDeque
         // original protocol's H increment-then-check.
         _head.store(h + 1, std::memory_order_relaxed);
         std::atomic_thread_fence(std::memory_order_seq_cst);
-        const int64_t t = _tail.load(std::memory_order_relaxed);
-        if (h < t) {
-            return _buffer[static_cast<std::size_t>(h) % _capacity];
-        }
+        // Acquire: pairs with pushTail's release store, so the slot and
+        // the task it points to are visible before we hand them out.
+        const int64_t t = _tail.load(std::memory_order_acquire);
+        if (h < t)
+            return slot(h).load(std::memory_order_relaxed);
         // Deque empty (or owner won the conflict); retreat.
         _head.store(h, std::memory_order_relaxed);
         return nullptr;
-    }
-
-    /**
-     * Thief: steal up to half the deque from the head in one locked
-     * critical section (remote-steal batching). A cross-socket steal pays
-     * the same QPI round trip whether it moves one frame or several, so
-     * remote-level thieves amortize that latency by taking a batch; local
-     * thieves keep taking single frames, preserving the top-heavy-deques
-     * argument where it matters.
-     *
-     * Claims ceil-half of the observed size (never less than one when
-     * nonempty), capped at @p max_n, then validates against the tail the
-     * same increment-then-check way stealHead() does; if the owner is
-     * contending for the youngest items the claim retreats so the slot at
-     * the owner's tail index is never touched by the batch.
-     *
-     * @param out receives the stolen items, oldest first.
-     * @param max_n capacity of @p out.
-     * @return number of items written to @p out.
-     */
-    std::size_t
-    stealHalf(T **out, std::size_t max_n)
-    {
-        if (max_n == 0)
-            return 0;
-        std::lock_guard<SpinLock> g(_lock);
-        const int64_t h = _head.load(std::memory_order_relaxed);
-        const int64_t t0 = _tail.load(std::memory_order_acquire);
-        const int64_t avail = t0 - h;
-        if (avail <= 0)
-            return 0;
-        int64_t want = (avail + 1) / 2;
-        if (want > static_cast<int64_t>(max_n))
-            want = static_cast<int64_t>(max_n);
-        // Claim the range before validating, mirroring stealHead().
-        _head.store(h + want, std::memory_order_relaxed);
-        std::atomic_thread_fence(std::memory_order_seq_cst);
-        const int64_t t = _tail.load(std::memory_order_relaxed);
-        if (t < h + want) {
-            // The owner decremented the tail into our claim; keep only
-            // the items strictly below its tail index and release the
-            // rest (the racing slot at index t belongs to the owner).
-            const int64_t safe = t - h > 0 ? t - h : 0;
-            _head.store(h + safe, std::memory_order_relaxed);
-            want = safe;
-        }
-        for (int64_t i = 0; i < want; ++i)
-            out[i] = _buffer[static_cast<std::size_t>(h + i) % _capacity];
-        return static_cast<std::size_t>(want);
     }
 
     /** Approximate emptiness check (exact for the owner when quiescent). */
@@ -208,13 +166,22 @@ class WsDeque
     }
 
   private:
+    std::atomic<T *> &
+    slot(int64_t i)
+    {
+        return _buffer[static_cast<std::size_t>(i) % _capacity];
+    }
+
     alignas(kCacheLineBytes) std::atomic<int64_t> _head{0};
     alignas(kCacheLineBytes) std::atomic<int64_t> _tail{0};
     /** Owner-only lower bound on _head for pushTail's overflow check;
      * shares the owner's tail line, never touched by thieves. */
     int64_t _headCache = 0;
     alignas(kCacheLineBytes) SpinLock _lock;
-    std::vector<T *> _buffer;
+    /** Slots are left uninitialized: a slot is only ever read after
+     * pushTail wrote it, so zero-filling would just fault in every
+     * page of a buffer that typical spawn depths never reach. */
+    std::unique_ptr<std::atomic<T *>[]> _buffer;
     std::size_t _capacity;
 };
 

@@ -126,9 +126,8 @@ class PartedVec
     /**
      * Spawn `fn(shard, data, count)` once per nonempty shard and sync.
      * Each spawn carries its shard's data range, so the spawn-time
-     * placement hint routes it to the shard's home-socket deque (and
-     * the steal path sees the same range as an affinity mask). Must be
-     * called from inside the runtime (a task body).
+     * placement hint routes it to the shard's home-socket deque. Must
+     * be called from inside the runtime (a task body).
      */
     template <typename F>
     void

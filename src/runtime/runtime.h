@@ -10,8 +10,8 @@
  * hint rather than idle).
  *
  * Since PR 4 every scheduling *decision* — victim selection, the
- * mailbox-vs-deque coin flip, PUSHBACK receivers and thresholds,
- * escalation, dry-poll cadence, parking streaks and tuning — lives in
+ * mailbox-vs-deque coin flip, PUSHBACK receivers and the pushing
+ * threshold, parking streaks and tuning — lives in
  * the engine-agnostic StealCore (sched/steal_core.h), configured by the
  * SchedPolicy nested in RuntimeOptions (sched/policy.h, where the full
  * knob table is documented). Worker::trySteal/pushBack/mainLoop are
@@ -70,9 +70,6 @@ namespace numaws {
 
 class Runtime;
 
-/** Hard cap on frames moved by one batched remote steal. */
-inline constexpr std::size_t kStealHalfCap = 16;
-
 /**
  * What Runtime teardown does with jobs still queued (running jobs are
  * always completed — a body cannot be abandoned mid-flight).
@@ -91,7 +88,7 @@ enum class ShutdownPolicy : uint8_t
 /**
  * Runtime construction parameters: engine-side knobs only. Every
  * scheduling *decision* knob (victim selection, parking, PUSHBACK
- * targeting, escalation, mailbox capacity, ...) lives in the nested
+ * targeting, mailbox capacity, ...) lives in the nested
  * SchedPolicy, shared verbatim with the simulator's SimConfig — see
  * sched/policy.h for the full table and PR 4 migration notes.
  */
@@ -104,7 +101,7 @@ struct RuntimeOptions
     /** The unified scheduling policy (sched/policy.h). */
     SchedPolicy sched{};
     /**
-     * Optional page-home registry for data-home affinity (not owned;
+     * Optional page-home registry for data-home placement (not owned;
      * must outlive the runtime). Tasks spawned with a data range resolve
      * their home sockets through it.
      */
@@ -169,14 +166,9 @@ struct WorkerCounters
     uint64_t pushbackGiveUps = 0; ///< threshold reached, ran it ourselves
     uint64_t tasksExecuted = 0;
     uint64_t tasksOnHintedPlace = 0; ///< hinted tasks run where hinted
-    uint64_t stealHalfBatches = 0;   ///< batched remote steals performed
-    uint64_t stealHalfTasks = 0;     ///< tasks moved by batched steals
-    /** Decision counters (stealAttempts above, and the three below) are
+    /** Decision counters (stealAttempts above, and yields below) are
      * maintained by each worker's StealCore — the shared policy brain —
      * and folded in by Runtime::stats() via Worker::foldCoreCounters. */
-    uint64_t escalations = 0;        ///< hierarchical level widenings
-    uint64_t levelSkips = 0;         ///< dry levels skipped via the board
-    uint64_t dryPolls = 0;           ///< probes skipped on a dry board
     uint64_t yields = 0;             ///< preemption yields serviced
     /** Jobs claimed at an aged (promoted) effective class — the
      * priority-aging counter, bumped runtime-wide by takeJobAbove. */
@@ -295,9 +287,10 @@ class TaskGroup
 
     /**
      * Spawn @p fn annotated with the data range it chiefly touches.
-     * When the runtime has a PageMap (RuntimeOptions::pageMap), workers
-     * resolve the range's home sockets and use them as the data-home
-     * affinity signal for VictimPolicy::OccupancyAffinity steals.
+     * An unplaced spawn (@p place not concrete) whose range has
+     * registered page homes — in RuntimeOptions::pageMap or the
+     * runtime's own data-plane map — is placed on the range's home
+     * socket (Worker::placeForData).
      */
     template <typename F>
     void spawn(F &&fn, Place place, const void *data,
@@ -390,9 +383,6 @@ class Worker
     {
         const StealCoreCounters &c = _core.counters();
         into.stealAttempts += c.stealAttempts;
-        into.dryPolls += c.dryPolls;
-        into.levelSkips += c.levelSkips;
-        into.escalations += c.escalations;
         into.yields += c.yields;
     }
     /** Fold the task-frame pool counters into @p into (Runtime::stats). */
@@ -590,13 +580,10 @@ class Worker
         _bucket = b;
     }
 
-    /** Refresh the data-home affinity mask from @p task (executeTask). */
-    void noteAffinity(const TaskBase *task);
-
     /** The own deque just gained work: publish the bit and wake per
      * the core's WakeDirective (targeted edge wake under board
      * parking, global notify under the timer). The single
-     * wake-protocol site for pushTask and the batched-steal extras. */
+     * wake-protocol site for pushTask. */
     void publishOwnDequeAndNotify();
 
     Runtime &_runtime;
@@ -633,7 +620,7 @@ class Worker
      * board read on every spawn of a busy worker. */
     bool _dequeBitPublished = false;
     /** Every scheduling decision (victim, coin flip, receivers,
-     * escalation, park streaks/tuning) routes through here — the same
+     * park streaks/tuning) routes through here — the same
      * core the simulator drives, so the engines cannot diverge. */
     StealCore _core;
     /** Park accounting advances while the runtime is quiescent (idle
@@ -737,11 +724,11 @@ class Runtime
     PageMap &dataPageMap() { return _pageMap; }
     const PageMap &dataPageMap() const { return _pageMap; }
     /**
-     * The registry affinity resolution consults: the user-supplied
+     * The registry data-home resolution consults: the user-supplied
      * RuntimeOptions::pageMap when present (layout experiments register
      * their own ranges), else the runtime's own data-plane map — so
-     * PartedVec homes feed the steal-path affinity mask and spawn-time
-     * hints with zero configuration.
+     * PartedVec homes feed spawn-time placement hints with zero
+     * configuration.
      */
     const PageMap *
     affinityPageMap() const
@@ -974,10 +961,10 @@ TaskGroup::spawn(F &&fn, Place place, const void *data,
         throw JobCancelled{};
     if (place == kInheritPlace)
         place = w->currentHint();
-    // Spawn-time placement hint (the PR 2 affinity mask, consulted at
-    // spawn): an unplaced task annotated with a data range lands on the
-    // range's home-socket deque, so PartedVec::forEachShard spawns get
-    // their affinity without callers naming places. Only *registered*
+    // Spawn-time placement hint: an unplaced task annotated with a data
+    // range lands on the range's home-socket deque, so
+    // PartedVec::forEachShard spawns get their locality without callers
+    // naming places. Only *registered*
     // ranges produce a hint; plain-heap data keeps kAnyPlace. The check
     // costs one compare when no annotation is present (work-first).
     if (!isConcretePlace(place) && data != nullptr && data_bytes > 0)
@@ -1014,8 +1001,6 @@ TaskGroup::spawn(F &&fn, Place place, const void *data,
     }
     if (task == nullptr)
         task = new Impl(this, place, std::forward<F>(fn));
-    if (data != nullptr && data_bytes > 0)
-        task->setData(data, data_bytes);
     // Children compute for the same job as their spawner (null outside
     // any job), so stolen subtasks observe cancellation too.
     task->setJob(w->currentJob());

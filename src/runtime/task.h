@@ -94,20 +94,6 @@ class TaskBase
     void setJob(JobState *job) { _job = job; }
     /// @}
 
-    /** @name Data range this task chiefly touches (affinity hint)
-     * Resolved against the runtime's PageMap to socket homes; feeds the
-     * OccupancyAffinity victim weighting. Zero bytes == no annotation. */
-    /// @{
-    void
-    setData(const void *addr, std::size_t bytes)
-    {
-        _dataAddr = reinterpret_cast<uint64_t>(addr);
-        _dataBytes = bytes;
-    }
-    uint64_t dataAddr() const { return _dataAddr; }
-    uint64_t dataBytes() const { return _dataBytes; }
-    /// @}
-
   private:
     TaskGroup *_group;
     Place _place;
@@ -115,8 +101,6 @@ class TaskBase
     bool _stolen = false;
     uint32_t _pushCount = 0;
     int32_t _poolOwner = -1;
-    uint64_t _dataAddr = 0;
-    uint64_t _dataBytes = 0;
 };
 
 /** Concrete task holding a callable inline (one frame per spawn,

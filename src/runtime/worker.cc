@@ -27,11 +27,6 @@ WorkerCounters::merge(const WorkerCounters &o)
     pushbackGiveUps += o.pushbackGiveUps;
     tasksExecuted += o.tasksExecuted;
     tasksOnHintedPlace += o.tasksOnHintedPlace;
-    stealHalfBatches += o.stealHalfBatches;
-    stealHalfTasks += o.stealHalfTasks;
-    escalations += o.escalations;
-    levelSkips += o.levelSkips;
-    dryPolls += o.dryPolls;
     yields += o.yields;
     agedClaims += o.agedClaims;
     framesRecycled += o.framesRecycled;
@@ -189,12 +184,10 @@ Worker::trySteal()
     if (_runtime.numWorkers() <= 1)
         return nullptr;
     const SchedPolicy &pol = _runtime.options().sched;
-    // All decisions — dry-poll cadence, victim, mailbox-vs-deque
-    // inspection order, batching — come from the core; this driver only
-    // executes them against the real deques and mailboxes.
+    // Both decisions — victim and mailbox-vs-deque inspection order —
+    // come from the core; this driver only executes them against the
+    // real deques and mailboxes.
     const StealAction action = _core.nextAction();
-    if (action.kind == StealAction::Kind::DryPoll)
-        return nullptr;
     Worker &victim = _runtime.worker(action.victim);
 
     TaskBase *task = nullptr;
@@ -204,27 +197,13 @@ Worker::trySteal()
         from_mailbox = task != nullptr;
         // Outcome 1 (mailbox empty): fall through to the deque.
     }
-    std::size_t batch_extra = 0;
-    TaskBase *batch[kStealHalfCap];
     if (task == nullptr) {
-        if (action.remoteBatch) {
-            std::size_t cap = static_cast<std::size_t>(action.batchMax);
-            if (cap > kStealHalfCap)
-                cap = kStealHalfCap;
-            const std::size_t n = victim.deque().stealHalf(batch, cap);
-            if (n > 0) {
-                task = batch[0];
-                batch_extra = n - 1;
-            }
-        } else {
-            task = victim.deque().stealHead();
-        }
+        task = victim.deque().stealHead();
         // The probe already paid for the cache traffic: repair the
         // victim's staleness (a 1-bit over an empty deque) for free.
         if (pol.boardPublishing() && victim.deque().empty())
             _runtime.board().publishDeque(action.victim, false);
     }
-    _core.onStealResult(action, task != nullptr);
     if (task == nullptr)
         return nullptr;
 
@@ -235,18 +214,6 @@ Worker::trySteal()
         ++_counters.mailboxTakes;
     else
         ++_counters.steals;
-    if (batch_extra > 0) {
-        ++_counters.stealHalfBatches;
-        _counters.stealHalfTasks += batch_extra + 1;
-        _counters.steals += batch_extra;
-        // Extras land on our own deque, oldest first, where they stay
-        // stealable by anyone else.
-        for (std::size_t i = 1; i <= batch_extra; ++i) {
-            batch[i]->markStolen();
-            _deque.pushTail(batch[i]);
-        }
-        publishOwnDequeAndNotify();
-    }
     // Promotion analogue: the task has now migrated off its spawner.
     task->markStolen();
 
@@ -272,13 +239,9 @@ Worker::pushBack(TaskBase *task)
     const auto [first, last] = _runtime.workersOfPlace(target);
     if (first >= last)
         return false;
-    // The core sees our own deque depth (pressure widens the cap) and
-    // every rejection below (congestion tightens it). Reading the live
-    // threshold each iteration keeps the loop bounded either way: the
-    // frame's lifetime push count only grows, the cap only shrinks under
-    // rejection, and a cap at or below the count exits to the give-up
-    // path, where load balance wins over locality.
-    _core.beginPushback(static_cast<int64_t>(_deque.size()));
+    // The frame's lifetime push count only grows, so the loop is
+    // bounded by the constant threshold; reaching it exits to the
+    // give-up path, where load balance wins over locality.
     while (task->pushCount()
            < static_cast<uint32_t>(_core.pushThreshold())) {
         ++_counters.pushbackAttempts;
@@ -286,7 +249,6 @@ Worker::pushBack(TaskBase *task)
             _core.pickPushReceiver(first, last, /*self=*/-1, target);
         if (_runtime.worker(receiver).mailbox().tryPut(task)) {
             ++_counters.pushbackSuccesses;
-            _core.onPushResult(true);
             // Under board parking, tryPut already woke the receiver's
             // socket on the deposit's occupancy edge
             // (Mailbox::attachParking); the timer protocol notifies
@@ -295,38 +257,10 @@ Worker::pushBack(TaskBase *task)
                 _runtime.notifyWork();
             return true;
         }
-        _core.onPushResult(false);
         task->incPushCount();
     }
     ++_counters.pushbackGiveUps;
     return false;
-}
-
-void
-Worker::noteAffinity(const TaskBase *task)
-{
-    // Data-home affinity for OccupancyAffinity steals: resolve the
-    // task's annotated data range through the affinity PageMap — the
-    // user-supplied one, or the runtime's own data-plane map, so
-    // PartedVec shards count without any configuration. First and last
-    // page are enough: registrations are contiguous per policy. Tasks
-    // without an annotation, or annotated with *unregistered* data
-    // (plain-heap buffers), fall back to their place hint.
-    uint32_t mask = 0;
-    if (task->dataBytes() > 0) {
-        const PageMap *pm = _runtime.affinityPageMap();
-        const int first = pm->registeredHomeOf(task->dataAddr());
-        const int last = pm->registeredHomeOf(task->dataAddr()
-                                              + task->dataBytes() - 1);
-        if (first >= 0 && first < 32)
-            mask |= 1u << first;
-        if (last >= 0 && last < 32)
-            mask |= 1u << last;
-    }
-    if (mask == 0 && isConcretePlace(task->place())
-        && task->place() < 32)
-        mask = 1u << task->place();
-    _core.setAffinity(mask);
 }
 
 Place
@@ -385,8 +319,6 @@ Worker::executeTask(TaskBase *task)
                 : static_cast<int8_t>(-1),
             std::memory_order_relaxed);
     ++_counters.tasksExecuted;
-    if (_runtime.options().sched.affinityTracking())
-        noteAffinity(task);
     if (isConcretePlace(task->place()) && task->place() == _place)
         ++_counters.tasksOnHintedPlace;
 

@@ -2,14 +2,13 @@
  * @file
  * Lock-free occupancy board: per-socket bitmaps of who currently has work.
  *
- * PR 1's distance-level victim hierarchy probes blind: a thief pays a full
- * probe (and a failed-steal escalation tick) on a victim whose deque and
- * mailbox are both empty. The board makes victim selection *informed*:
- * every worker publishes two bits — deque non-emptiness and mailbox
- * occupancy — into a cache-aligned word shared by its socket, and thieves
- * read whole sockets at once to (a) skip provably-dry distance levels and
- * (b) weight candidate victims by occupancy (StealDistribution's
- * VictimPolicy sampling).
+ * Every worker publishes two bits — deque non-emptiness and mailbox
+ * occupancy — into a cache-aligned word shared by its socket, so a
+ * reader can see a whole socket's work at once. The consumers are the
+ * idle path, never the steal path: board parking (sleep per socket, wake
+ * on a 0 -> nonzero edge), board-guided PUSHBACK receiver selection
+ * (sample only mailboxes with room), and the EWMA park tuner's
+ * productive-vs-dry verdicts.
  *
  * Cost discipline: publications are *edge triggered*. A publish first
  * checks the current bit with a relaxed load and returns without any RMW
@@ -22,10 +21,9 @@
  * Accuracy contract (what the scheduler may assume):
  *  - The board is advisory, never authoritative. *False-empty* — a bit
  *    still 0 while work was just made visible, or transiently cleared in
- *    a race — is allowed: a thief that trusts it merely probes elsewhere,
- *    and the escalation ladder still reaches the outermost level (which
- *    the level-skip logic never skips past), so no work is ever
- *    unreachable.
+ *    a race — is allowed: a parked worker's fallback timeout bounds the
+ *    delay, and a pusher that trusts a stale clear bit merely has its
+ *    deposit rejected and retries, so no work is ever unreachable.
  *  - *False-nonempty* must not be invented: a set bit always
  *    happens-after a real deposit/push by some worker (the release/
  *    acquire pairing above), so probing a "occupied" victim is always
@@ -133,9 +131,8 @@ class OccupancyBoard
     }
 
     /** Any published work anywhere on the machine (one load per socket).
-     * A thief that reads false here may skip its victim probe entirely —
-     * the probe that motivated this board — as long as it still probes
-     * on a bounded cadence, since a false-empty board may lag reality. */
+     * Advisory like every board read: a false-empty board may lag
+     * reality, so a false here must only ever delay work, never hide it. */
     bool
     anyWork() const
     {
@@ -151,8 +148,9 @@ class OccupancyBoard
      * deposits a frame only into mailboxes of the frame's place, so a
      * parked frame on another socket is earmarked for workers *there* —
      * a cross-socket thief taking it would mostly push it straight back
-     * (churn, not progress). The bounded insurance probe still reaches
-     * those frames if their own socket never drains them.
+     * (churn, not progress). Steal probes never consult the board, so
+     * they still reach those frames if their own socket never drains
+     * them.
      */
     bool
     anyWorkFor(int socket) const

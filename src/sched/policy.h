@@ -3,7 +3,7 @@
  * The unified scheduling policy: every knob that picks a *decision*.
  *
  * The paper's platform is one scheduler — a work-first steal loop with
- * PUSHBACK mailboxes and hierarchical victim search — evaluated both on
+ * locality-biased victim selection and PUSHBACK mailboxes — evaluated both on
  * real threads and in simulation. Until PR 4 this repo kept two
  * hand-synchronized copies of that brain: every mechanism was wired once
  * into the threaded runtime and again into the simulator, with the knob
@@ -23,7 +23,6 @@
 
 #include <cstdint>
 
-#include "sched/push_policy.h"
 #include "topology/steal_distribution.h"
 
 namespace numaws {
@@ -66,8 +65,7 @@ enum class PushTarget : uint8_t
  * spinning longer and sleeping shorter; a park that ends spurious or
  * dry argues the opposite — with the neutral prior sitting exactly at
  * the configured constants, so the two modes start identical and
- * diverge only with evidence (the same shape as the adaptive steal
- * escalation budget). See ParkTuner in sched/steal_core.h.
+ * diverge only with evidence. See ParkTuner in sched/steal_core.h.
  */
 enum class ParkTuning : uint8_t
 {
@@ -270,8 +268,9 @@ struct ServingPolicy
 
 /**
  * Scheduling-policy knobs shared verbatim by the threaded runtime and
- * the simulator. Mirrors the paper's mechanisms one-for-one plus the
- * adaptive extensions, each independently ablatable.
+ * the simulator. Mirrors the paper's mechanisms one-for-one (each
+ * independently ablatable) plus the idle-path protocols: parking,
+ * PUSHBACK receiver selection and park tuning.
  */
 struct SchedPolicy
 {
@@ -285,29 +284,8 @@ struct SchedPolicy
      * requires it); false = always inspect the mailbox first (ablation).
      */
     bool coinFlip = true;
-    /** Constant pushing threshold (Section III-B); adaptive base. */
+    /** Constant pushing threshold (Section III-B). */
     int pushThreshold = 4;
-    /** Pushing-threshold policy (constant reproduces the paper). */
-    PushPolicyConfig pushPolicy{};
-    /** Hierarchical level-by-level victim search with escalation. */
-    bool hierarchicalSteals = false;
-    /** Consecutive failed steals per level before widening the search
-     * (the fixed budget, and the adaptive escalation's base). */
-    int stealEscalationFailures = 2;
-    /** Fixed (constant budget) or Adaptive (per-level success-rate EWMA)
-     * escalation; only meaningful with hierarchicalSteals. */
-    EscalationPolicy escalationPolicy = EscalationPolicy::Fixed;
-    /**
-     * Victim-selection policy for hierarchical steals. The default is
-     * the full informed policy (it soaked through PR 2's and PR 3's
-     * BENCH_victim_policy gates); VictimPolicy::Distance — PR 1's blind
-     * ladder — is retained purely as an escape hatch for debugging a
-     * suspect board (its ablation rows were retired in PR 4 after two
-     * PRs of green CI history on the informed default). Only consulted
-     * when hierarchicalSteals is on, so the paper-faithful flat
-     * configuration is unaffected.
-     */
-    VictimPolicy victimPolicy = VictimPolicy::OccupancyAffinity;
     /** Mailbox slots per worker (the paper's protocol is capacity 1). */
     int mailboxCapacity = 1;
     /** Idle-worker parking policy (see ParkPolicy). */
@@ -331,11 +309,6 @@ struct SchedPolicy
     ParkTuning parkTuning = ParkTuning::Ewma;
     /** PUSHBACK receiver selection (see PushTarget). */
     PushTarget pushTarget = PushTarget::Board;
-    /** Steal-half batching for remote-level (>= two-hop) steals. */
-    bool remoteStealHalf = false;
-    /** Max frames one batched remote steal may move (engines clamp to
-     * their transport cap). */
-    int stealHalfMax = 8;
     /** Overload protection for the serving front door: admission
      * bounds and load shedding (see ServingPolicy / ShedPolicy above).
      * Executed by the shared ShedCore in both engines. */
@@ -343,18 +316,10 @@ struct SchedPolicy
 
     /** @name Derived predicates
      * The single source of truth for "is the board in play" — every
-     * consumer (informed steals, board parking, board-guided PUSHBACK)
+     * consumer (board parking, board-guided PUSHBACK, EWMA park tuning)
      * forces publication, and a config with no consumer never pays a
      * single RMW. */
     /// @{
-    /** Informed victim selection active: the steal path reads the board. */
-    bool
-    boardInformed() const
-    {
-        return hierarchicalSteals
-               && victimPolicy != VictimPolicy::Distance;
-    }
-
     /** Idle workers park per socket and ride occupancy-edge wakes. */
     bool boardParking() const { return parkPolicy == ParkPolicy::Board; }
 
@@ -374,16 +339,8 @@ struct SchedPolicy
     bool
     boardPublishing() const
     {
-        return boardInformed() || boardParking() || boardPushTargeting()
+        return boardParking() || boardPushTargeting()
                || parkTuning == ParkTuning::Ewma;
-    }
-
-    /** Thief-side data-home affinity tracking feeds victim weighting. */
-    bool
-    affinityTracking() const
-    {
-        return boardInformed()
-               && victimPolicy == VictimPolicy::OccupancyAffinity;
     }
     /// @}
 

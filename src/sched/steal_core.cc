@@ -9,106 +9,16 @@ StealAction
 StealCore::nextAction()
 {
     NUMAWS_ASSERT(_view.dist != nullptr);
-    StealAction a;
-    const bool informed = _policy.boardInformed() && boardUsable();
-    const OccupancyBoard *board = _view.board;
-    // Board poll in place of a probe: when nothing anywhere advertises
-    // work, skip the victim probe entirely — that is the probe the board
-    // was built to save. Every 4th consecutive dry poll still probes
-    // (insurance: a false-empty board may lag reality), so starvation is
-    // impossible, merely delayed by a bounded factor.
-    bool board_dry = false;
-    if (informed && !board->anyWorkFor(_socket)) {
-        _dryStreak = (_dryStreak + 1) & 3; // wrap: no overflow while idle
-        if (_dryStreak != 0) {
-            ++_counters.dryPolls;
-            a.kind = StealAction::Kind::DryPoll;
-            a.informedConsult = true;
-            return a;
-        }
-        board_dry = true;
-    } else {
-        _dryStreak = 0;
-    }
     ++_counters.stealAttempts;
-    a.kind = StealAction::Kind::Probe;
-    a.informedConsult = informed;
-    const StealDistribution &dist = *_view.dist;
-    if (_policy.hierarchicalSteals) {
-        // Level-by-level search: sample only within the current
-        // escalation radius; failures below widen it, success resets it.
-        int level = _esc.level();
-        if (informed) {
-            // Board consult: jump past provably-dry levels without
-            // burning the failures-per-level budget on them (the skip
-            // and the weighted pick share one board snapshot). An
-            // all-dry insurance probe widens to the outermost level
-            // too, but that is not a board-informed skip — don't count
-            // it as one.
-            const int ladder_level = level;
-            a.victim = dist.sampleVictimInformed(
-                _self, &level, _policy.victimPolicy, *board, _affinity,
-                _rng);
-            if (level != ladder_level && !board_dry)
-                ++_counters.levelSkips;
-        } else {
-            a.victim = dist.sampleAtLevel(_self, level, _rng);
-        }
-        a.probedLevel = level;
-    } else {
-        a.victim = dist.sample(_self, _rng);
-    }
+    StealAction a;
+    a.victim = _view.dist->sample(_self, _rng);
     // BIASEDSTEALWITHPUSH: flip a coin between the victim's mailbox and
     // its deque. Always checking the mailbox first would let a critical
     // node at a deque head starve (Section IV); coinFlip=false is the
     // ablation that prices exactly that.
-    bool check_mailbox =
+    a.checkMailboxFirst =
         _policy.useMailboxes && (!_policy.coinFlip || _rng.flip());
-    // One-sided informed override: a *set* mailbox bit is never invented
-    // (board contract), so steering the inspection toward it is sound.
-    // An *unset* bit may be false-empty, so it must never suppress the
-    // mailbox check — the coin's 50% inspection is the repair mechanism
-    // that eventually finds a parked frame whose publication was lost,
-    // even while the victim's deque stays nonempty forever.
-    if (informed && _policy.useMailboxes
-        && board->mailboxOccupied(a.victim)
-        && !board->dequeNonempty(a.victim))
-        check_mailbox = true;
-    a.checkMailboxFirst = check_mailbox;
-    // Remote-level victims pay a full cross-socket round trip per steal,
-    // so those take a batch; closer victims keep the paper's
-    // single-frame protocol.
-    if (_policy.remoteStealHalf
-        && dist.levelOf(_self, a.victim) == kLevelRemote) {
-        a.remoteBatch = true;
-        a.batchMax = _policy.stealHalfMax > 0 ? _policy.stealHalfMax : 1;
-    }
     return a;
-}
-
-void
-StealCore::onStealResult(const StealAction &action, bool got_work)
-{
-    if (action.kind != StealAction::Kind::Probe)
-        return;
-    if (!_policy.hierarchicalSteals)
-        return;
-    if (got_work) {
-        _esc.onSuccessfulSteal(action.probedLevel);
-        return;
-    }
-    const int before = _esc.level();
-    _esc.onFailedSteal(action.probedLevel);
-    if (_esc.level() != before)
-        ++_counters.escalations;
-}
-
-void
-StealCore::beginPushback(int64_t own_deque_depth)
-{
-    // Pressure signal: a worker with a deep own deque can afford more
-    // placement attempts before running the frame itself.
-    _push.observeDequeDepth(own_deque_depth);
 }
 
 int

@@ -2,16 +2,15 @@
  * @file
  * StealCore: the engine-agnostic scheduling brain, one per worker/core.
  *
- * Everything that *chooses* on the steal path lives here — dry-poll
- * cadence, hierarchical/informed victim sampling, the mailbox-vs-deque
- * coin flip and its informed override, remote steal-half eligibility,
- * escalation bookkeeping, PUSHBACK receiver selection and threshold
- * control, the park-after-N-failures streak, and the EWMA-tuned parking
- * constants. The threaded runtime (runtime/worker.cc) and the simulator
+ * Everything that *chooses* on the steal path lives here — the
+ * locality-biased victim draw, the mailbox-vs-deque coin flip,
+ * PUSHBACK receiver selection and its constant threshold, the
+ * park-after-N-failures streak, and the EWMA-tuned parking constants.
+ * The threaded runtime (runtime/worker.cc) and the simulator
  * (sim/scheduler.cc) are thin drivers that *execute* the returned
- * actions (probe victim V, poll the board, push to mailbox M, park on
- * socket S) against their own mechanics, so a policy decision exists in
- * exactly one place and the engines cannot diverge.
+ * actions (probe victim V, push to mailbox M, park on socket S) against
+ * their own mechanics, so a policy decision exists in exactly one place
+ * and the engines cannot diverge.
  *
  * Determinism contract: for a fixed SchedPolicy, EngineView contents,
  * seed, and call sequence, the core draws from its private RNG in a
@@ -33,6 +32,7 @@
 #include <atomic>
 #include <cstdint>
 
+#include "sched/occupancy.h"
 #include "sched/policy.h"
 #include "support/rng.h"
 #include "topology/place.h"
@@ -42,7 +42,8 @@ namespace numaws {
 /**
  * Narrow view of engine state the core consults when deciding. Both
  * pointers outlive the core; @p board may be null or disabled (the
- * core then behaves as if nothing were published — blind sampling).
+ * core then behaves as if nothing were published — blind PUSHBACK
+ * receivers).
  */
 struct EngineView
 {
@@ -53,30 +54,11 @@ struct EngineView
 /** One steal-path decision, returned by StealCore::nextAction(). */
 struct StealAction
 {
-    enum class Kind : uint8_t
-    {
-        /** The board advertises no stealable work anywhere: skip the
-         * victim probe outright this round (the probe the board was
-         * built to save). The engine charges at most a board read. */
-        DryPoll,
-        /** Probe @p victim (mailbox first iff checkMailboxFirst). */
-        Probe,
-    };
-
-    Kind kind = Kind::Probe;
-    /** Victim worker/core id (Probe only). */
+    /** Victim worker/core id to probe. */
     int victim = -1;
-    /** Escalation level the probe sampled at (EWMA credit; -1 flat). */
-    int probedLevel = -1;
     /** BIASEDSTEALWITHPUSH: inspect the victim's mailbox before its
-     * deque (coin flip, possibly overridden by a set mailbox bit). */
+     * deque (the coin flip). */
     bool checkMailboxFirst = false;
-    /** A board consult steered this action (engines price the read). */
-    bool informedConsult = false;
-    /** The victim is remote-level and steal-half batching applies. */
-    bool remoteBatch = false;
-    /** Cap on total frames a batched steal may move (>= 1). */
-    int batchMax = 1;
 };
 
 /** What a work-publishing engine should do about sleepers. */
@@ -96,8 +78,8 @@ enum class WakeDirective : uint8_t
  * wants more spin (the work would have arrived within the spin budget)
  * and a short fallback; a machine idling through parks wants the
  * opposite — park sooner, sleep longer. Both scales sit exactly at the
- * configured constants at the neutral prior 0.5, mirroring the adaptive
- * escalation budget's shape, so Fixed and Ewma start out identical:
+ * configured constants at the neutral prior 0.5, so Fixed and Ewma
+ * start out identical:
  *
  *   spinBudget    = clamp(2 * base * (1 - dryRate), max(1, base/4), 2*base)
  *   timeoutScale  = clamp(1 + 7 * (dryRate - 0.5), 0.5, 4.0)
@@ -167,10 +149,7 @@ class ParkTuner
  * own stats vocabulary (WorkerCounters / SimCounters). */
 struct StealCoreCounters
 {
-    uint64_t stealAttempts = 0; ///< probes issued (dry polls excluded)
-    uint64_t dryPolls = 0;      ///< probes replaced by a dry board poll
-    uint64_t levelSkips = 0;    ///< dry levels skipped via the board
-    uint64_t escalations = 0;   ///< hierarchical level widenings
+    uint64_t stealAttempts = 0; ///< victim probes issued
     uint64_t yields = 0;        ///< preemption yields serviced
 };
 
@@ -210,11 +189,10 @@ class AtomicYieldFlag
  *
  * Call protocol, per the drivers in runtime/worker.cc and
  * sim/scheduler.cc:
- *  - steal path: a = nextAction(); execute it; onStealResult(a, got).
+ *  - steal path: a = nextAction(); execute it.
  *  - publish path: onPublishEdge(socket_edge) says whom to wake.
- *  - PUSHBACK: beginPushback(depth); then per attempt, compare the
- *    frame's push count against pushThreshold(), pick a receiver with
- *    pickPushReceiver(), report onPushResult(accepted).
+ *  - PUSHBACK: per attempt, compare the frame's push count against
+ *    pushThreshold(), pick a receiver with pickPushReceiver().
  *  - parking: noteFruitless() per fruitless step, noteProgress() when
  *    work was found; takeParkRequest() consumes the park decision;
  *    parkTimeoutUs() is the (tuned) bound; onParkOutcome() feeds the
@@ -233,8 +211,6 @@ class StealCore
           _self(self),
           _socket(socket),
           _rng(seed),
-          _esc(escalationConfig(policy)),
-          _push(policy.pushThreshold, policy.pushPolicy),
           _tuner(policy.parkTuning, policy.parkSpinFailures)
     {}
 
@@ -245,8 +221,6 @@ class StealCore
     /** @name Steal path */
     /// @{
     StealAction nextAction();
-    /** Report the probe's outcome (escalation credit + counters). */
-    void onStealResult(const StealAction &action, bool got_work);
     /// @}
 
     /** @name Publish-edge wake protocol */
@@ -265,10 +239,8 @@ class StealCore
 
     /** @name PUSHBACK (lazy work pushing) */
     /// @{
-    /** Start an episode; @p own_deque_depth is the pressure signal. */
-    void beginPushback(int64_t own_deque_depth);
-    /** Current cap on a frame's lifetime PUSHBACK attempts. */
-    int pushThreshold() const { return _push.threshold(); }
+    /** Cap on a frame's lifetime PUSHBACK attempts. */
+    int pushThreshold() const { return _policy.pushThreshold; }
     /**
      * Receiver for the next attempt among workers [first, last) of
      * @p target_socket: board-guided when the policy says so (sampled
@@ -280,21 +252,12 @@ class StealCore
      */
     int pickPushReceiver(int first, int last, int self_in_range,
                          int target_socket);
-    /** A deposit landed (true) or was rejected (false). */
-    void
-    onPushResult(bool accepted)
-    {
-        if (accepted)
-            _push.onPushSuccess();
-        else
-            _push.onMailboxFull();
-    }
     /// @}
 
     /** @name Parking decisions */
     /// @{
-    /** A scheduling step found nothing (failed probe, dry poll, empty
-     * local round): advance the park streak. */
+    /** A scheduling step found nothing (failed probe, empty local
+     * round): advance the park streak. */
     void
     noteFruitless()
     {
@@ -365,25 +328,13 @@ class StealCore
                                  int n);
     /// @}
 
-    /** @name Data-home affinity */
+    /** @name Data-home placement */
     /// @{
-    /** Sockets homing the current task's data (bit s == socket s); the
-     * engine resolves homes (PageMap / region table), the core uses the
-     * mask to weight victims. Zero masks are ignored (keep the last
-     * known homes, matching the engines' pre-PR 4 behavior). */
-    void
-    setAffinity(uint32_t socket_mask)
-    {
-        if (socket_mask != 0)
-            _affinity = socket_mask;
-    }
-
-    uint32_t affinity() const { return _affinity; }
-
     /**
-     * Turn a data-home socket mask (the same encoding setAffinity
-     * takes) into a spawn-time placement hint: the lowest homing
-     * socket, or kAnyPlace for an empty mask. Static and deterministic
+     * Turn a data-home socket mask (bit s == the data has pages homed
+     * on socket s; the engine resolves homes through its PageMap) into
+     * a spawn-time placement hint: the lowest homing socket, or
+     * kAnyPlace for an empty mask. Static and deterministic
      * — the spawn fast path must not consume RNG (neither engine's
      * spawn path draws randomness; the engine-parity contract).
      */
@@ -400,22 +351,11 @@ class StealCore
     /// @{
     const StealCoreCounters &counters() const { return _counters; }
     void resetCounters() { _counters = StealCoreCounters{}; }
-    StealEscalation &escalation() { return _esc; }
-    PushPolicy &pushPolicy() { return _push; }
     const ParkTuner &parkTuner() const { return _tuner; }
     Rng &rng() { return _rng; }
     /// @}
 
   private:
-    static EscalationConfig
-    escalationConfig(const SchedPolicy &p)
-    {
-        EscalationConfig cfg;
-        cfg.kind = p.escalationPolicy;
-        cfg.failuresPerLevel = p.stealEscalationFailures;
-        return cfg;
-    }
-
     bool boardUsable() const
     {
         return _view.board != nullptr && _view.board->enabled();
@@ -426,13 +366,7 @@ class StealCore
     int _self = 0;
     int _socket = 0;
     Rng _rng{0};
-    StealEscalation _esc{};
-    PushPolicy _push{};
     ParkTuner _tuner{};
-    /** Sockets homing the data of the last task this worker ran. */
-    uint32_t _affinity = 0;
-    /** Consecutive all-dry board polls; every 4th probes anyway. */
-    int _dryStreak = 0;
     /** Consecutive fruitless steps toward the park budget. */
     int _parkFails = 0;
     bool _parkRequested = false;

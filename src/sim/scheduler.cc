@@ -48,14 +48,6 @@ struct CoreState
      * mailboxCapacity (the paper's single-entry mailbox is capacity 1). */
     std::deque<Continuation> mailbox;
     /**
-     * Extras from a batched remote steal, already promoted, drained in
-     * the scheduling loop before the next steal attempt. Private to this
-     * core: the sim's deque entries must stay an ancestor chain of the
-     * current task (stepReturn asserts it), so foreign continuations may
-     * not enter `deq`.
-     */
-    std::deque<Continuation> overflow;
-    /**
      * Checkpointed continuations of preempted jobs, innermost last.
      * When a Spawn-boundary yield stashes the current continuation
      * here, its already-pushed deque entries stay stealable (they are
@@ -68,9 +60,9 @@ struct CoreState
     std::deque<Continuation> preempted;
     NextAction next = NextAction::Steal;
     FrameId checkParent = kNoFrame;
-    /** The scheduling brain: RNG, escalation, push policy, affinity,
-     * dry-poll cadence, park streaks — shared code with the threaded
-     * runtime (sched/steal_core.h). */
+    /** The scheduling brain: RNG, victim draws, PUSHBACK receivers,
+     * park streaks — shared code with the threaded runtime
+     * (sched/steal_core.h). */
     StealCore brain;
 
     /** @name Parking model (SimConfig::modelParking only) */
@@ -226,13 +218,11 @@ class Simulation
         const auto [first, last] = coresOfSocket(target);
         NUMAWS_ASSERT(first < last);
         // The core picks receivers (board-guided or blind per policy)
-        // and runs the threshold state machine; this driver executes
-        // the deposits and charges their costs. A receiver that is the
+        // and holds the threshold; this driver executes the deposits
+        // and charges their costs. A receiver that is the
         // pusher itself or has no room burns the attempt, exactly like
         // the threaded engine's rejected tryPut.
         StealCore &brain = _cores[core].brain;
-        brain.beginPushback(
-            static_cast<int64_t>(_cores[core].deq.size()));
         bool pushed = false;
         while (fs.pushCount
                < static_cast<uint32_t>(brain.pushThreshold())) {
@@ -244,11 +234,9 @@ class Simulation
             if (receiver != core && mailboxHasRoom(receiver)) {
                 mailboxDeposit(receiver, cont, core);
                 ++_counters.pushSuccesses;
-                brain.onPushResult(true);
                 pushed = true;
                 break;
             }
-            brain.onPushResult(false);
             ++fs.pushCount;
         }
         if (!pushed)
@@ -293,7 +281,7 @@ class Simulation
         _heap.push(Event{t, _seq++, core, c.eventToken});
     }
 
-    /** A fruitless probe (failed steal or dry poll): the core's park
+    /** A fruitless probe (failed steal): the core's park
      * streak may cross its spin budget and request a park. */
     void
     noteProbeFailure(int core)
@@ -869,22 +857,6 @@ Simulation::stepExecute(int core)
         ++_counters.strandsExecuted;
         const double mem = _memory.cost(socketOf(core), item.accessBegin,
                                         item.accessEnd, _mem_counters);
-        if (_cfg.sched.affinityTracking()
-            && item.accessBegin != item.accessEnd) {
-            // Remember where this strand's data lives: the thief-side
-            // affinity signal for OccupancyAffinity victim weighting.
-            uint32_t mask = 0;
-            const int sockets = _machine.numSockets();
-            for (uint32_t a = item.accessBegin; a != item.accessEnd;
-                 ++a) {
-                const MemAccess &acc = _dag.access(a);
-                const int home =
-                    _dag.homeOf(acc.region, acc.offset, sockets);
-                if (home < 32) // affinity masks cover 32 sockets
-                    mask |= 1u << home;
-            }
-            c.brain.setAffinity(mask);
-        }
         ++c.cur.item;
         return {item.cycles + mem, Charge::Work};
       }
@@ -952,28 +924,12 @@ Simulation::stepStealAttempt(int core)
     if (_numCores <= 1)
         return {_cfg.stealAttemptBase, Charge::Idle};
 
-    // Every decision — dry-poll cadence, victim, the coin flip and its
-    // informed override, batching eligibility — comes from the shared
-    // StealCore; this driver executes the action under the cost model.
+    // Both decisions — the victim and the coin flip — come from the
+    // shared StealCore; this driver executes them under the cost model.
     const StealAction action = c.brain.nextAction();
-    if (action.kind == StealAction::Kind::DryPoll) {
-        // The probe the board exists to save: polling the board replaced
-        // the victim probe outright (the core still forces an insurance
-        // probe every 4th consecutive dry poll, so a false-empty board
-        // delays work pickup by a bounded factor instead of starving
-        // anyone).
-        noteProbeFailure(core);
-        return {_cfg.boardCheckCost, Charge::Idle};
-    }
     const int victim = action.victim;
     const int hops = _machine.hops(socketOf(core), socketOf(victim));
     double cost = _cfg.stealAttemptBase + _cfg.stealPerHop * hops;
-    // An informed probe consulted the board (snapshot + bit reads) to
-    // pick its level and victim: price that consult on every informed
-    // attempt, not only on the dry-poll early return, so the policy
-    // ablation compares like with like.
-    if (action.informedConsult)
-        cost += _cfg.boardCheckCost;
 
     Continuation got;
 
@@ -988,11 +944,9 @@ Simulation::stepStealAttempt(int core)
             } else {
                 // Outcome 3: earmarked elsewhere: push it onward; if the
                 // threshold is exhausted we take it ourselves.
-                if (pushBack(core, cont, cost)) {
-                    // Work was found (and forwarded): not a failed probe.
-                    c.brain.onStealResult(action, true);
+                // Work was found (and forwarded): not a failed probe.
+                if (pushBack(core, cont, cost))
                     return {cost, Charge::Sched};
-                }
                 got = cont;
             }
         }
@@ -1010,44 +964,17 @@ Simulation::stepStealAttempt(int core)
             fs.stolen = true;
             ++fs.joinCount;
             cost += _cfg.promotionCost;
-            // Remote-level batching: one cross-socket round trip moves
-            // up to half the victim's deque; extras are promoted now and
-            // parked in the private overflow buffer at a reduced
-            // per-frame cost (the amortization this knob buys).
-            if (action.remoteBatch) {
-                // Total batch = ceil(half) of the original deque size,
-                // mirroring WsDeque::stealHalf: one frame was already
-                // popped above, so take size/2 of what remains.
-                int extras = static_cast<int>(v.deq.size() / 2);
-                if (extras > action.batchMax - 1)
-                    extras = action.batchMax - 1;
-                for (int i = 0; i < extras; ++i) {
-                    Continuation extra = dequePopFront(victim);
-                    FrameState &es = _frames[extra.frame];
-                    es.stolen = true;
-                    ++es.joinCount;
-                    ++_counters.steals;
-                    ++_counters.batchedFrames;
-                    cost += _cfg.batchExtraCost;
-                    c.overflow.push_back(extra);
-                }
-                if (extras > 0)
-                    ++_counters.batchedSteals;
-            }
             // Figure 5: a freshly stolen frame earmarked for a different
             // socket is pushed toward its place.
             if (placeMismatch(core, _dag.frame(got.frame).place)) {
-                if (pushBack(core, got, cost)) {
-                    c.brain.onStealResult(action, true);
+                if (pushBack(core, got, cost))
                     return {cost, Charge::Sched};
-                }
             }
         }
     } else {
         ++_counters.mailboxSteals;
     }
 
-    c.brain.onStealResult(action, got.valid());
     if (got.valid()) {
         c.cur = got;
         return {cost, Charge::Sched};
@@ -1084,7 +1011,7 @@ Simulation::stepSchedulingLoop(int core)
     // A preempted chain is parked on this core: the only legal moves
     // are claiming another strictly-higher-effective-class job (nested
     // preemption — its chain stacks on the deque exactly like the
-    // first) or resuming the checkpoint. Mailbox/overflow/steal work
+    // first) or resuming the checkpoint. Mailbox/steal work
     // would start an unrelated chain above the preempted one's deque
     // entries and break the ancestor-chain invariant stepReturn pops
     // by; it stays available to every *other* core throughout.
@@ -1102,22 +1029,6 @@ Simulation::stepSchedulingLoop(int core)
         c.cur = mailboxTake(core);
         ++_counters.mailboxPops;
         return {_cfg.mailboxCheckCost, Charge::Sched};
-    }
-
-    // Drain the batched-steal overflow before probing new victims. The
-    // scheduling loop runs with an empty deque, so resuming one of these
-    // behaves exactly like a freshly stolen continuation — including the
-    // Figure 5 place check.
-    if (!c.overflow.empty()) {
-        Continuation cont = c.overflow.front();
-        c.overflow.pop_front();
-        double cost = _cfg.mailboxCheckCost;
-        if (placeMismatch(core, _dag.frame(cont.frame).place)) {
-            if (pushBack(core, cont, cost))
-                return {cost, Charge::Sched};
-        }
-        c.cur = cont;
-        return {cost, Charge::Sched};
     }
 
     // Admission before stealing (the threaded mainLoop's order): claim
@@ -1180,7 +1091,7 @@ Simulation::run()
         // the sleep would strand the suspended frame forever. Mailbox
         // entries stay stealable by every other core.
         if (_trace != nullptr && !c.cur.valid() && c.deq.empty()
-            && c.overflow.empty() && c.preempted.empty()
+            && c.preempted.empty()
             && c.next == NextAction::Steal
             && _interference.workerRetired(socketOf(ev.core),
                                            rankFromTop(ev.core))) {
@@ -1273,8 +1184,6 @@ Simulation::run()
         // into the sim's vocabulary.
         const StealCoreCounters &cc = cs.brain.counters();
         _counters.stealAttempts += cc.stealAttempts;
-        _counters.boardDryPolls += cc.dryPolls;
-        _counters.levelSkips += cc.levelSkips;
     }
     _counters.interferenceRetires = _interference.shrinks();
     _counters.interferenceReexpands = _interference.expands();

@@ -18,8 +18,8 @@
  * figure is produced here.
  *
  * Since PR 4 every scheduling *decision* — victim selection, the
- * mailbox-vs-deque coin flip, PUSHBACK receivers and thresholds,
- * escalation, dry-poll cadence, parking streaks and tuning — lives in
+ * mailbox-vs-deque coin flip, PUSHBACK receivers and the pushing
+ * threshold, parking streaks and tuning — lives in
  * the engine-agnostic StealCore (sched/steal_core.h), configured by the
  * SchedPolicy nested in SimConfig (sched/policy.h, where the full knob
  * table is documented). The simulator is a thin driver that executes
@@ -57,8 +57,8 @@ struct SimConfig
     /** The unified scheduling policy (sched/policy.h), shared verbatim
      * with RuntimeOptions::sched so ablations compare like with like.
      * The simulated OccupancyBoard is exact (every deque/mailbox
-     * transition is published at its mutation site), so the informed
-     * policies see ground truth here. */
+     * transition is published at its mutation site), so the board
+     * consumers (parking, PUSHBACK targeting) see ground truth here. */
     SchedPolicy sched{};
     /**
      * Model idle-core parking (mirrors Runtime's spin-then-park loop).
@@ -66,7 +66,7 @@ struct SimConfig
      * keeping every pre-existing configuration's event sequence
      * byte-identical. When on, a core parks after
      * sched.parkSpinFailures consecutive fruitless probes (failed
-     * steals and dry board polls) and wakes per sched.parkPolicy —
+     * steals) and wakes per sched.parkPolicy —
      * timer period or board edge + fallback, sched.parkTimerUs /
      * sched.parkFallbackUs converted to cycles at the machine's clock —
      * paying boardCheckCost per wakeup check.
@@ -86,12 +86,9 @@ struct SimConfig
     double resumeCost = 100.0;       ///< resume a suspended full frame
     double mailboxCheckCost = 40.0;  ///< POPMAILBOX / mailbox inspection
     double pushAttemptCost = 140.0;  ///< one PUSHBACK attempt
-    double batchExtraCost = 60.0;    ///< per extra frame in a batched steal
     /** Reading the occupancy board: ~2 words per socket of read-mostly
      * shared lines, mostly L1/L2 hits after the first scan. Charged on
-     * a dry poll that *replaces* a victim probe AND on every informed
-     * probe (the consult that steered it), so the policy ablation
-     * prices the board on both paths. Far below stealAttemptBase by
+     * every parked core's wakeup check. Far below stealAttemptBase by
      * design. */
     double boardCheckCost = 16.0;
     /// @}
@@ -129,31 +126,15 @@ struct SimConfig
     }
 
     /** The full NUMA-WS scheduler (Figure 5), paper-literal (timer
-     * parking, blind random PUSHBACK receivers — see classicWs). */
+     * parking, blind random PUSHBACK receivers — see classicWs). A
+     * value-initialized SimConfig{} runs the same steal path on the
+     * shipped SchedPolicy defaults (board parking and PUSHBACK
+     * targeting, EWMA park tuning): the threaded engine's configuration. */
     static SimConfig
     numaWs()
     {
         SimConfig c;
         c.sched = SchedPolicy::paperBaseline();
-        return c;
-    }
-
-    /**
-     * NUMA-WS plus every adaptive extension: hierarchical victim search
-     * with escalation, the congestion-adaptive pushing threshold, and
-     * remote steal-half batching, on the shipped SchedPolicy defaults —
-     * the OccupancyAffinity informed ladder (PR 3) and, since PR 4, the
-     * Board parking/PUSHBACK protocols. Pass VictimPolicy::Distance /
-     * ParkPolicy::Timer / PushTarget::Random explicitly for the retired
-     * blind baselines.
-     */
-    static SimConfig
-    adaptiveNumaWs()
-    {
-        SimConfig c;
-        c.sched.hierarchicalSteals = true;
-        c.sched.pushPolicy.kind = PushPolicyKind::Adaptive;
-        c.sched.remoteStealHalf = true;
         return c;
     }
 

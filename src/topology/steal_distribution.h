@@ -1,6 +1,6 @@
 /**
  * @file
- * Locality-biased victim selection (Section III-B), flat and hierarchical.
+ * Locality-biased victim selection (Section III-B).
  *
  * Classic work stealing picks a victim uniformly at random. NUMA-WS biases
  * the distribution by socket distance: victims on the thief's socket are
@@ -9,63 +9,19 @@
  * bound is what preserves the O(P * Tinf) steal bound of Section IV — so
  * weights are strictly positive by construction and validated here.
  *
- * On top of the flat biased distribution this file provides the *adaptive
- * hierarchical* victim search: victims are ranked into distance levels
- * (core -> place -> socket -> remote) and a thief samples uniformly among
- * victims at or inside its current level, escalating one level outward
- * after a run of consecutive failed steals (StealEscalation). At the
- * outermost level every victim is reachable, so a starving worker always
- * ends up stealing against any place hint rather than idling, and each
- * victim keeps probability >= 1/(P-1) there — the same 1/(cP) shape the
- * proof needs, reached after a constant number of failures.
+ * This flat distribution is the only steal path both engines run: every
+ * steal attempt draws one victim from it, with no levels, escalation, or
+ * board-weighted sampling on top.
  */
 #ifndef NUMAWS_TOPOLOGY_STEAL_DISTRIBUTION_H
 #define NUMAWS_TOPOLOGY_STEAL_DISTRIBUTION_H
 
-#include <cstdint>
 #include <vector>
 
-#include "sched/occupancy.h"
 #include "support/rng.h"
 #include "topology/machine.h"
 
 namespace numaws {
-
-/**
- * How hierarchical victim selection uses runtime information.
- *
- * Distance reproduces PR 1's blind ladder: uniform sampling within the
- * escalation radius, ordered by topology alone. Occupancy additionally
- * consults the OccupancyBoard: provably-dry levels are skipped without
- * burning the failures-per-level budget, and victims with published work
- * are weighted up. OccupancyAffinity further boosts victims on sockets
- * that home the thief's current data regions (PageMap/NumaArena homing in
- * the runtime; region homes in the simulator), so a thief gravitates to
- * the socket its working set lives on. Each step is separately ablatable.
- */
-enum class VictimPolicy : uint8_t
-{
-    Distance,
-    Occupancy,
-    OccupancyAffinity,
-};
-
-/** Stable name for bench JSON / CLI ("distance", "occupancy",
- * "occupancy+affinity"). */
-const char *victimPolicyName(VictimPolicy p);
-
-/** Floor for the occupancy weight multiplier. The effective boost is
- * max(kOccupancyBoost, 2 * configured distance spread), computed per
- * StealDistribution, so occupancy always dominates distance: a dry
- * nearby victim never outranks an occupied remote one, whatever
- * BiasWeights the user configured. With the default 8:2:1 weights the
- * effective boost is exactly this floor. */
-inline constexpr double kOccupancyBoost = 16.0;
-
-/** Weight multiplier for a victim on a socket homing the thief's data.
- * Smaller than the distance spread, so equal-affinity candidates are
- * still ordered by distance (affinity ties break by distance). */
-inline constexpr double kAffinityBoost = 2.0;
 
 /** Per-hop-count steal weights; index 0 is the local socket. */
 struct BiasWeights
@@ -82,213 +38,29 @@ struct BiasWeights
 };
 
 /**
- * Distance levels for hierarchical victim search, innermost first.
- *
- * Core: the thief's pair buddies (workers sharing its core group — adjacent
- * worker indices on the same socket, modelling a shared mid-level cache).
- * Place: the rest of the thief's socket (its virtual place).
- * Socket: one-hop sockets. Remote: two-or-more-hop sockets.
- */
-enum StealLevel : int
-{
-    kLevelCore = 0,
-    kLevelPlace = 1,
-    kLevelSocket = 2,
-    kLevelRemote = 3,
-};
-
-inline constexpr int kNumStealLevels = 4;
-
-/** Workers per core group at the Core level (pair buddies). */
-inline constexpr int kCoreGroupSize = 2;
-
-/**
- * How the escalation ladder sets its failures-per-level budget.
- *
- * Fixed reproduces PR 1: a constant budget at every level. Adaptive
- * derives each level's budget from an EWMA of the steal-success rate
- * observed *at that level*: a level that keeps paying off earns patience
- * (budget grows toward twice the base), a level that keeps failing is
- * abandoned after as little as one failure. Both stay within
- * [minFailures, maxFailures], so escalation still reaches the outermost
- * level after a bounded number of failures and the steal bound keeps its
- * constant factor.
- */
-enum class EscalationPolicy : uint8_t
-{
-    Fixed,
-    Adaptive,
-};
-
-/** Escalation-ladder tuning; the EWMA fields matter only to Adaptive. */
-struct EscalationConfig
-{
-    EscalationPolicy kind = EscalationPolicy::Fixed;
-    /** Fixed budget, and the Adaptive rule's base (budget at rate 0.5). */
-    int failuresPerLevel = 2;
-    /** Clamp for the adaptive budget. */
-    int minFailures = 1;
-    int maxFailures = 8;
-    /** Weight of the newest steal outcome in the per-level EWMA. */
-    double ewmaAlpha = 0.25;
-};
-
-/**
- * Per-thief escalation ladder for hierarchical stealing.
- *
- * A thief starts at its innermost nonempty level; each run of
- * failureBudget() consecutive failed steal attempts widens the search by
- * one level, and a successful acquisition narrows it by one level (not a
- * full reset: under steady cross-socket load the ladder settles at the
- * level where work actually is, instead of re-climbing from the core
- * level after every hit). Escalation reaches kLevelRemote (all victims)
- * after at most maxFailures * kNumStealLevels failures, which keeps the
- * steal bound within a constant factor of the flat scheme.
- *
- * Under EscalationPolicy::Adaptive the budget self-tunes from the
- * observed per-level steal-success rate (see EscalationPolicy docs); the
- * Fixed policy is the PR 1 behavior, kept for ablation.
- */
-class StealEscalation
-{
-  public:
-    /** Fixed-policy ladder with a constant budget (PR 1 behavior). */
-    explicit StealEscalation(int failures_per_level = 2)
-    {
-        _cfg.failuresPerLevel =
-            failures_per_level > 0 ? failures_per_level : 1;
-        initRates();
-    }
-
-    explicit StealEscalation(const EscalationConfig &cfg) : _cfg(cfg)
-    {
-        if (_cfg.failuresPerLevel < 1)
-            _cfg.failuresPerLevel = 1;
-        if (_cfg.minFailures < 1)
-            _cfg.minFailures = 1;
-        if (_cfg.maxFailures < _cfg.minFailures)
-            _cfg.maxFailures = _cfg.minFailures;
-        if (_cfg.ewmaAlpha <= 0.0 || _cfg.ewmaAlpha > 1.0)
-            _cfg.ewmaAlpha = 0.25;
-        initRates();
-    }
-
-    int level() const { return _level; }
-    bool atOutermostLevel() const { return _level == kNumStealLevels - 1; }
-    const EscalationConfig &config() const { return _cfg; }
-
-    /**
-     * Consecutive failures tolerated before widening, judged at the
-     * level the probes are actually sampling (the board's level-skip
-     * can probe wider than the ladder sits — evidence and budget must
-     * come from the same level, or the adaptive rule would freeze at
-     * the prior and degenerate to Fixed). Fixed: the constant.
-     * Adaptive: 2 * base * successRate, clamped — at the neutral rate
-     * 0.5 this equals the fixed budget, so the two policies start out
-     * identical and diverge only with evidence.
-     */
-    int
-    failureBudgetAt(int level) const
-    {
-        if (_cfg.kind == EscalationPolicy::Fixed)
-            return _cfg.failuresPerLevel;
-        const int at =
-            level >= 0 && level < kNumStealLevels ? level : _level;
-        const int b = static_cast<int>(2.0 * _cfg.failuresPerLevel
-                                           * _rate[at]
-                                       + 0.5);
-        return b < _cfg.minFailures
-                   ? _cfg.minFailures
-                   : (b > _cfg.maxFailures ? _cfg.maxFailures : b);
-    }
-
-    /** failureBudgetAt() at the ladder's own level. */
-    int failureBudget() const { return failureBudgetAt(_level); }
-
-    /** EWMA steal-success rate observed at @p level (test hook). */
-    double successRate(int level) const { return _rate[level]; }
-
-    /**
-     * A steal attempt found nothing: maybe widen the search.
-     * @param probed_level the level the probe actually sampled at — the
-     *        board's level-skip can widen past the ladder's level, and
-     *        the EWMA must credit the level that produced the outcome,
-     *        not the level the ladder sat at. Defaults to the ladder
-     *        level (the blind-search case).
-     */
-    void
-    onFailedSteal(int probed_level = -1)
-    {
-        observe(probed_level, 0.0);
-        if (++_failures >= failureBudgetAt(probed_level)
-            && _level < kNumStealLevels - 1) {
-            ++_level;
-            _failures = 0;
-        }
-    }
-
-    /** Work was acquired: narrow the search by one level. */
-    void
-    onSuccessfulSteal(int probed_level = -1)
-    {
-        observe(probed_level, 1.0);
-        if (_level > 0)
-            --_level;
-        _failures = 0;
-    }
-
-  private:
-    void
-    initRates()
-    {
-        for (double &r : _rate)
-            r = 0.5; // neutral prior: adaptive starts at the fixed budget
-    }
-
-    void
-    observe(int probed_level, double outcome)
-    {
-        if (_cfg.kind != EscalationPolicy::Adaptive)
-            return;
-        const int at = probed_level >= 0 && probed_level < kNumStealLevels
-                           ? probed_level
-                           : _level;
-        _rate[at] = (1.0 - _cfg.ewmaAlpha) * _rate[at]
-                    + _cfg.ewmaAlpha * outcome;
-    }
-
-    EscalationConfig _cfg;
-    int _level = 0;
-    int _failures = 0;
-    double _rate[kNumStealLevels] = {};
-};
-
-/**
  * Precomputed per-thief victim distribution over all workers of a machine.
  *
  * One instance is built per (machine, worker count, weights) configuration;
  * sampling is a binary search over a cumulative table, O(log P) with no
  * allocation, cheap enough for the steal path.
- *
- * The same instance also precomputes the distance-level ranking used by
- * hierarchical stealing: sampleAtLevel(thief, L) picks uniformly among the
- * victims whose level is <= L (escalating internally past empty levels),
- * so at kLevelRemote it degenerates to uniform over all victims.
  */
 class StealDistribution
 {
   public:
     /**
-     * @param workers total number of workers, packed socket-major
-     *        (worker w lives on socket w / coresPerSocket').
-     * Workers are spread evenly across the machine's sockets: worker w is
-     * on socket w * numSockets / workers when workers < cores, matching
-     * the runtime's even-spread startup policy.
+     * @param workers total number of workers, packed socket-major: each
+     *        socket holds ceil(workers / numSockets) consecutive workers
+     *        (the last socket takes any overflow), so worker w is on
+     *        socket min(w / ceil(W/S), S - 1). When W is not a multiple
+     *        of S the trailing sockets run short or empty — e.g. 6
+     *        workers on 4 sockets fill sockets 0-2 with two each and
+     *        leave socket 3 empty. This matches the runtime's startup
+     *        policy of grouping each socket's threads together.
      */
     StealDistribution(const Machine &machine, int workers,
                       const BiasWeights &weights);
 
-    /** Socket a worker belongs to under the even-spread policy. */
+    /** Socket a worker belongs to under the packing above. */
     int socketOfWorker(int worker) const { return _workerSocket[worker]; }
 
     /** Socket of every worker, the shape OccupancyBoard's constructor
@@ -308,126 +80,12 @@ class StealDistribution
 
     int numWorkers() const { return _numWorkers; }
 
-    /** @name Hierarchical victim search */
-    /// @{
-    /** Distance level of @p victim as seen from @p thief. */
-    int levelOf(int thief, int victim) const;
-
-    /** Victims of @p thief at level <= @p level (monotone in level). */
-    int victimsWithinLevel(int thief, int level) const;
-
-    /**
-     * Sample uniformly among victims at level <= @p level; empty prefixes
-     * escalate internally, so a victim is always returned when P > 1.
-     * Never returns the thief.
-     */
-    int sampleAtLevel(int thief, int level, Rng &rng) const;
-    /// @}
-
-    /** @name Informed (occupancy/affinity-weighted) victim search */
-    /// @{
-    /**
-     * Does @p victim hold work @p thief can use? Deque work counts from
-     * anywhere; mailbox work only on the thief's own socket, because
-     * PUSHBACK parks frames on their *place* — a cross-socket thief
-     * taking one mostly forwards it straight back (churn, not
-     * progress).
-     */
-    bool
-    victimLive(int thief, int victim, const OccupancyBoard &board) const
-    {
-        if (board.dequeNonempty(victim))
-            return true;
-        return _workerSocket[thief] == _workerSocket[victim]
-               && board.mailboxOccupied(victim);
-    }
-
-    /**
-     * Smallest level >= @p level whose victim prefix contains a worker
-     * with published work — the escalation level-skip: a thief jumps
-     * straight past provably-dry levels without burning its
-     * failures-per-level budget there. When the board shows no work at
-     * any level the result is the outermost level: every level is
-     * provably dry, so the (insurance) probe that still runs validates
-     * the whole machine at once instead of a ladder of cheap local
-     * misses. The probe itself never stops, so a false-empty board can
-     * delay but never prevent any victim being reached.
-     */
-    int firstLiveLevel(int thief, int level,
-                       const OccupancyBoard &board) const;
-
-    /**
-     * Sampling weight of @p victim for @p thief: the product of the
-     * distance bias (perHop weights), kOccupancyBoost when the board
-     * shows work at the victim, and kAffinityBoost when policy is
-     * OccupancyAffinity and the victim's socket is in
-     * @p affinity_sockets (bit s == thief's data homed on socket s).
-     * Strictly positive for every victim, so every victim keeps
-     * probability >= 1/(cP) within the sampled prefix — the Section IV
-     * lower bound survives with c <= kOccupancyBoost * kAffinityBoost *
-     * max-distance-spread.
-     */
-    double victimWeight(int thief, int victim, VictimPolicy policy,
-                        const OccupancyBoard &board,
-                        uint32_t affinity_sockets) const;
-
-    /**
-     * Weighted sample among victims at level <= @p level per
-     * victimWeight(); VictimPolicy::Distance (or a null/empty board)
-     * degenerates to sampleAtLevel(). Never returns the thief. No
-     * level-skip — engines use sampleVictimInformed(), which performs
-     * skip and sample against one board snapshot.
-     */
-    int sampleVictim(int thief, int level, VictimPolicy policy,
-                     const OccupancyBoard *board,
-                     uint32_t affinity_sockets, Rng &rng) const;
-
-    /**
-     * The engines' steal-path entry point: firstLiveLevel() level-skip
-     * plus weighted sampling, both evaluated against a single board
-     * snapshot (one pair of loads per socket per attempt, and the level
-     * choice and the weights cannot disagree about a flipping bit).
-     * @param level_io in: the escalation ladder's level; out: the level
-     *        actually sampled (callers diff the two to count skips).
-     */
-    int sampleVictimInformed(int thief, int *level_io, VictimPolicy policy,
-                             const OccupancyBoard &board,
-                             uint32_t affinity_sockets, Rng &rng) const;
-    /// @}
-
   private:
-    /** One-shot copy of the board's socket words (defined in the .cc). */
-    struct Snap;
-
-    /** victimWeight with the liveness verdict precomputed (sampling
-     * evaluates it against one board snapshot for consistency). */
-    double weightOf(int thief, int victim, VictimPolicy policy, bool live,
-                    uint32_t affinity_sockets) const;
-
-    /** firstLiveLevel() against an existing snapshot. */
-    int liveLevelFrom(int thief, int level, const OccupancyBoard &board,
-                      const Snap &snap) const;
-
-    /** Weighted pick among victims at level <= @p level from @p snap. */
-    int sampleFromSnap(int thief, int level, VictimPolicy policy,
-                       const OccupancyBoard &board, const Snap &snap,
-                       uint32_t affinity_sockets, Rng &rng) const;
-
     int _numWorkers;
-    int _numSockets;
-    BiasWeights _weights;
-    /** max(kOccupancyBoost, 2 * distance spread): see kOccupancyBoost. */
-    double _occupancyBoost = kOccupancyBoost;
     std::vector<int> _workerSocket;
-    std::vector<int> _workerCoreGroup; ///< pair-buddy group within socket
-    std::vector<int> _socketHops;      ///< row-major socket hop matrix
     // Row-major [thief][victim] cumulative probabilities.
     std::vector<double> _cumulative;
     std::vector<double> _probability;
-    // Row-major [thief][rank]: victims sorted by level then id (W-1 per
-    // thief), plus [thief][level] counts of victims at level <= L.
-    std::vector<int> _victimsByLevel;
-    std::vector<int> _levelPrefix;
 };
 
 } // namespace numaws

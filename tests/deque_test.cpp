@@ -86,110 +86,6 @@ TEST(WsDeque, WrapsAroundRingBuffer)
     }
 }
 
-TEST(WsDequeStealHalf, TakesHalfFromTheHeadOldestFirst)
-{
-    WsDeque<Node> d(16);
-    Node n[8] = {{0}, {1}, {2}, {3}, {4}, {5}, {6}, {7}};
-    for (auto &x : n)
-        d.pushTail(&x);
-    Node *batch[8] = {};
-    // Half of 8 is 4, oldest first.
-    EXPECT_EQ(d.stealHalf(batch, 8), 4u);
-    for (int i = 0; i < 4; ++i)
-        EXPECT_EQ(batch[i], &n[i]);
-    EXPECT_EQ(d.size(), 4);
-    // Remaining half again: ceil(4/2) == 2.
-    EXPECT_EQ(d.stealHalf(batch, 8), 2u);
-    EXPECT_EQ(batch[0], &n[4]);
-    EXPECT_EQ(batch[1], &n[5]);
-    // Owner still finds the youngest items at the tail.
-    EXPECT_EQ(d.popTail(), &n[7]);
-    EXPECT_EQ(d.popTail(), &n[6]);
-    EXPECT_EQ(d.popTail(), nullptr);
-}
-
-TEST(WsDequeStealHalf, RespectsTheCapAndTheSingleItem)
-{
-    WsDeque<Node> d(16);
-    Node n[6] = {{0}, {1}, {2}, {3}, {4}, {5}};
-    for (auto &x : n)
-        d.pushTail(&x);
-    Node *batch[8] = {};
-    // Cap below half: only max_n items move.
-    EXPECT_EQ(d.stealHalf(batch, 2), 2u);
-    EXPECT_EQ(batch[0], &n[0]);
-    EXPECT_EQ(batch[1], &n[1]);
-    // A single remaining item is still stolen (ceil(1/2) == 1).
-    while (d.size() > 1)
-        d.popTail();
-    EXPECT_EQ(d.stealHalf(batch, 8), 1u);
-    EXPECT_EQ(d.stealHalf(batch, 8), 0u); // empty deque yields nothing
-    EXPECT_EQ(d.stealHalf(batch, 0), 0u); // zero capacity is a no-op
-}
-
-/** Batch thieves race the owner; nothing may be lost or duplicated. */
-TEST(WsDequeStress, StealHalfNoLossNoDuplication)
-{
-    constexpr int kItems = 100000;
-    constexpr int kThieves = 2;
-    WsDeque<Node> d(1 << 17);
-    std::vector<Node> nodes(kItems);
-    for (int i = 0; i < kItems; ++i)
-        nodes[i].value = i;
-
-    std::vector<std::atomic<int>> extracted(kItems);
-    for (auto &e : extracted)
-        e.store(0);
-    std::atomic<bool> done{false};
-    std::atomic<int64_t> total{0};
-
-    std::vector<std::thread> thieves;
-    for (int t = 0; t < kThieves; ++t) {
-        thieves.emplace_back([&] {
-            Node *batch[8];
-            int64_t mine = 0;
-            auto drain = [&](std::size_t got) {
-                for (std::size_t i = 0; i < got; ++i) {
-                    extracted[batch[i]->value].fetch_add(1);
-                    ++mine;
-                }
-            };
-            while (!done.load(std::memory_order_acquire)) {
-                drain(d.stealHalf(batch, 8));
-                std::this_thread::yield();
-            }
-            while (std::size_t got = d.stealHalf(batch, 8))
-                drain(got);
-            total.fetch_add(mine);
-        });
-    }
-
-    int64_t owner_got = 0;
-    for (int i = 0; i < kItems; ++i) {
-        d.pushTail(&nodes[i]);
-        // Pop in bursts so the owner regularly contends at the tail
-        // while batches are claimed at the head.
-        if (i % 5 == 0) {
-            if (Node *n = d.popTail()) {
-                extracted[n->value].fetch_add(1);
-                ++owner_got;
-            }
-        }
-    }
-    while (Node *n = d.popTail()) {
-        extracted[n->value].fetch_add(1);
-        ++owner_got;
-    }
-    done.store(true, std::memory_order_release);
-    for (auto &t : thieves)
-        t.join();
-    total.fetch_add(owner_got);
-
-    EXPECT_EQ(total.load(), kItems);
-    for (int i = 0; i < kItems; ++i)
-        ASSERT_EQ(extracted[i].load(), 1) << "item " << i;
-}
-
 /** Owner pushes/pops while thieves steal; every node must be extracted
  * exactly once across all parties. */
 TEST(WsDequeStress, NoLossNoDuplication)

@@ -237,7 +237,6 @@ TEST(RuntimeParking, FibCorrectUnderEveryParkPushCombination)
             RuntimeOptions o;
             o.numWorkers = 3;
             o.numPlaces = 3;
-            o.sched.hierarchicalSteals = true;
             o.sched.parkPolicy = park;
             o.sched.pushTarget = push;
             // Short fallback: the 1-core host serializes threads, so
@@ -283,7 +282,7 @@ TEST(RuntimeParking, BoardParkingShutsDownCleanly)
 TEST(SimParking, ModelOffByDefaultAndInert)
 {
     const sim::ComputationDag dag = workloads::fibDag(16);
-    sim::SimConfig cfg = sim::SimConfig::adaptiveNumaWs();
+    sim::SimConfig cfg;
     ASSERT_FALSE(cfg.modelParking);
     const sim::SimResult r = sim::simulatePacked(dag, 16, cfg);
     EXPECT_EQ(r.counters.parks, 0u);
@@ -296,7 +295,7 @@ TEST(SimParking, PoliciesExecuteTheSameWork)
     const sim::ComputationDag dag = workloads::fibDag(16);
     // The Board defaults flipped in PR 4: the timer baseline must ask
     // for the retired policy explicitly.
-    sim::SimConfig timer = sim::SimConfig::adaptiveNumaWs();
+    sim::SimConfig timer;
     timer.modelParking = true;
     timer.sched.parkSpinFailures = 4;
     timer.sched.parkPolicy = ParkPolicy::Timer;
@@ -328,7 +327,7 @@ TEST(SimParking, BoardWakesTargetSocketsWithWork)
     b.end();
     const sim::ComputationDag dag = b.finish();
 
-    sim::SimConfig timer = sim::SimConfig::adaptiveNumaWs();
+    sim::SimConfig timer;
     timer.modelParking = true;
     timer.sched.parkSpinFailures = 4;
     timer.sched.parkPolicy = ParkPolicy::Timer;
@@ -350,7 +349,7 @@ TEST(SimParking, BoardWakesTargetSocketsWithWork)
 TEST(SimParking, DeterministicPerSeed)
 {
     const sim::ComputationDag dag = workloads::fibDag(14);
-    sim::SimConfig cfg = sim::SimConfig::adaptiveNumaWs();
+    sim::SimConfig cfg;
     cfg.modelParking = true;
     cfg.sched.parkSpinFailures = 4;
     cfg.seed = 99;

@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "support/stats.h"
 #include "topology/machine.h"
 #include "topology/steal_distribution.h"
@@ -147,6 +149,17 @@ TEST(StealDistribution, EvenSpreadAssignsWorkersToSockets)
     EXPECT_EQ(d.socketOfWorker(11), 3);
 }
 
+TEST(StealDistribution, PackingCanLeaveTrailingSocketsEmpty)
+{
+    // Packing is ceil(W/S) workers per socket, not an even spread: 6
+    // workers on 4 sockets fill sockets 0-2 with two each, and socket 3
+    // gets none.
+    const Machine m = Machine::paperMachine();
+    const StealDistribution d(m, 6, BiasWeights{});
+    const std::vector<int> expected = {0, 0, 1, 1, 2, 2};
+    EXPECT_EQ(d.workerSockets(), expected);
+}
+
 TEST(StealDistribution, TwoWorkersAlwaysPickEachOther)
 {
     const Machine m = Machine::singleSocket(2);
@@ -156,441 +169,6 @@ TEST(StealDistribution, TwoWorkersAlwaysPickEachOther)
         EXPECT_EQ(d.sample(0, rng), 1);
         EXPECT_EQ(d.sample(1, rng), 0);
     }
-}
-
-// ---------------------------------------------------------------------
-// Hierarchical victim search
-// ---------------------------------------------------------------------
-
-TEST(StealHierarchy, LevelOfMatchesTopology)
-{
-    const Machine m = Machine::paperMachine();
-    const StealDistribution d(m, 32, BiasWeights{});
-    // Thief 0 on socket 0: worker 1 is its pair buddy, 2..7 share the
-    // socket, sockets 1 and 2 are one hop, socket 3 is two hops.
-    EXPECT_EQ(d.levelOf(0, 1), kLevelCore);
-    EXPECT_EQ(d.levelOf(0, 2), kLevelPlace);
-    EXPECT_EQ(d.levelOf(0, 7), kLevelPlace);
-    EXPECT_EQ(d.levelOf(0, 8), kLevelSocket);  // socket 1, one hop
-    EXPECT_EQ(d.levelOf(0, 16), kLevelSocket); // socket 2, one hop
-    EXPECT_EQ(d.levelOf(0, 24), kLevelRemote); // socket 3, two hops
-    // Levels are symmetric for pair buddies and socket mates.
-    EXPECT_EQ(d.levelOf(1, 0), kLevelCore);
-    EXPECT_EQ(d.levelOf(9, 8), kLevelCore);
-    // Thief 8 on socket 1: sockets 0 and 3 adjacent, socket 2 two hops.
-    EXPECT_EQ(d.levelOf(8, 0), kLevelSocket);
-    EXPECT_EQ(d.levelOf(8, 16), kLevelRemote);
-}
-
-TEST(StealHierarchy, PrefixCountsAreMonotoneAndComplete)
-{
-    const Machine m = Machine::paperMachine();
-    const StealDistribution d(m, 32, BiasWeights{});
-    for (int t = 0; t < 32; ++t) {
-        int prev = 0;
-        for (int level = 0; level < kNumStealLevels; ++level) {
-            const int n = d.victimsWithinLevel(t, level);
-            EXPECT_GE(n, prev);
-            prev = n;
-        }
-        // The outermost prefix always covers every other worker, which
-        // is what lets a starving thief reach any victim.
-        EXPECT_EQ(d.victimsWithinLevel(t, kLevelRemote), 31);
-    }
-    // Thief 0 concretely: 1 pair buddy, 6 socket mates, 16 one-hop
-    // workers, 8 two-hop workers.
-    EXPECT_EQ(d.victimsWithinLevel(0, kLevelCore), 1);
-    EXPECT_EQ(d.victimsWithinLevel(0, kLevelPlace), 7);
-    EXPECT_EQ(d.victimsWithinLevel(0, kLevelSocket), 23);
-    EXPECT_EQ(d.victimsWithinLevel(0, kLevelRemote), 31);
-}
-
-TEST(StealHierarchy, SampleAtLevelStaysInsideTheRadius)
-{
-    const Machine m = Machine::paperMachine();
-    const StealDistribution d(m, 32, BiasWeights{});
-    Rng rng(7);
-    for (int i = 0; i < 2000; ++i) {
-        const int v_core = d.sampleAtLevel(0, kLevelCore, rng);
-        EXPECT_EQ(v_core, 1); // the only pair buddy
-        const int v_place = d.sampleAtLevel(0, kLevelPlace, rng);
-        EXPECT_GE(v_place, 1);
-        EXPECT_LE(v_place, 7);
-        const int v_socket = d.sampleAtLevel(0, kLevelSocket, rng);
-        EXPECT_LE(d.levelOf(0, v_socket), kLevelSocket);
-        const int v_any = d.sampleAtLevel(0, kLevelRemote, rng);
-        EXPECT_NE(v_any, 0); // never the thief
-    }
-}
-
-TEST(StealHierarchy, EmptyInnerLevelsEscalateInternally)
-{
-    // One worker per socket: no Core or Place victims exist, so a
-    // Core-level sample must silently widen instead of spinning.
-    const Machine m = Machine::paperMachine();
-    const StealDistribution d(m, 4, BiasWeights{});
-    EXPECT_EQ(d.victimsWithinLevel(0, kLevelCore), 0);
-    EXPECT_EQ(d.victimsWithinLevel(0, kLevelPlace), 0);
-    EXPECT_EQ(d.victimsWithinLevel(0, kLevelSocket), 2);
-    Rng rng(11);
-    for (int i = 0; i < 500; ++i) {
-        const int v = d.sampleAtLevel(0, kLevelCore, rng);
-        // Workers 1 and 2 sit on the one-hop sockets of the QPI square.
-        EXPECT_TRUE(v == 1 || v == 2) << "victim " << v;
-    }
-}
-
-TEST(StealHierarchy, SamplingAtOutermostLevelIsUniform)
-{
-    const Machine m = Machine::paperMachine();
-    const StealDistribution d(m, 16, BiasWeights{});
-    Rng rng(123);
-    CategoryCounter counts(16);
-    const int n = 150000;
-    for (int i = 0; i < n; ++i)
-        counts.add(static_cast<std::size_t>(
-            d.sampleAtLevel(3, kLevelRemote, rng)));
-    EXPECT_EQ(counts.count(3), 0);
-    for (int v = 0; v < 16; ++v) {
-        if (v == 3)
-            continue;
-        EXPECT_NEAR(counts.fraction(static_cast<std::size_t>(v)),
-                    1.0 / 15.0, 0.01)
-            << "victim " << v;
-    }
-}
-
-TEST(StealEscalation, WidensAfterConsecutiveFailuresOnly)
-{
-    StealEscalation e(2);
-    EXPECT_EQ(e.level(), kLevelCore);
-    e.onFailedSteal();
-    EXPECT_EQ(e.level(), kLevelCore); // one failure is not enough
-    e.onFailedSteal();
-    EXPECT_EQ(e.level(), kLevelPlace);
-    e.onFailedSteal();
-    e.onFailedSteal();
-    EXPECT_EQ(e.level(), kLevelSocket);
-    e.onFailedSteal();
-    e.onFailedSteal();
-    EXPECT_EQ(e.level(), kLevelRemote);
-    EXPECT_TRUE(e.atOutermostLevel());
-    // Saturates at the outermost level: a starving worker keeps probing
-    // the whole machine instead of idling.
-    e.onFailedSteal();
-    e.onFailedSteal();
-    EXPECT_EQ(e.level(), kLevelRemote);
-}
-
-TEST(StealEscalation, SuccessNarrowsOneLevel)
-{
-    StealEscalation e(1);
-    e.onFailedSteal();
-    e.onFailedSteal();
-    e.onFailedSteal();
-    EXPECT_EQ(e.level(), kLevelRemote);
-    e.onSuccessfulSteal();
-    EXPECT_EQ(e.level(), kLevelSocket); // one step, not a full reset
-    e.onSuccessfulSteal();
-    e.onSuccessfulSteal();
-    e.onSuccessfulSteal();
-    EXPECT_EQ(e.level(), kLevelCore); // floors at the innermost level
-}
-
-TEST(StealEscalation, SuccessResetsTheFailureStreak)
-{
-    StealEscalation e(2);
-    e.onFailedSteal();
-    e.onSuccessfulSteal();
-    e.onFailedSteal();
-    // Two non-consecutive failures must not widen the search.
-    EXPECT_EQ(e.level(), kLevelCore);
-}
-
-// ---------------------------------------------------------------------
-// Self-tuning escalation (EscalationPolicy::Adaptive)
-// ---------------------------------------------------------------------
-
-TEST(StealEscalation, FixedConfigMatchesLegacyConstructor)
-{
-    EscalationConfig cfg;
-    cfg.kind = EscalationPolicy::Fixed;
-    cfg.failuresPerLevel = 2;
-    StealEscalation via_cfg(cfg);
-    StealEscalation legacy(2);
-    for (int i = 0; i < 10; ++i) {
-        EXPECT_EQ(via_cfg.level(), legacy.level()) << "step " << i;
-        EXPECT_EQ(via_cfg.failureBudget(), legacy.failureBudget());
-        via_cfg.onFailedSteal();
-        legacy.onFailedSteal();
-    }
-}
-
-TEST(StealEscalation, AdaptiveStartsAtTheFixedBudget)
-{
-    EscalationConfig cfg;
-    cfg.kind = EscalationPolicy::Adaptive;
-    cfg.failuresPerLevel = 4;
-    StealEscalation e(cfg);
-    // Neutral prior 0.5: 2 * base * 0.5 == base.
-    EXPECT_EQ(e.failureBudget(), 4);
-    EXPECT_DOUBLE_EQ(e.successRate(kLevelCore), 0.5);
-}
-
-TEST(StealEscalation, AdaptiveAbandonsAFailingLevelFaster)
-{
-    EscalationConfig cfg;
-    cfg.kind = EscalationPolicy::Adaptive;
-    cfg.failuresPerLevel = 4;
-    StealEscalation adaptive(cfg);
-    StealEscalation fixed(4);
-    // Drive both with pure failures: the adaptive budget shrinks with
-    // the EWMA, so the adaptive ladder reaches the outermost level
-    // first.
-    int adaptive_steps = 0, fixed_steps = 0;
-    while (!adaptive.atOutermostLevel()) {
-        adaptive.onFailedSteal();
-        ++adaptive_steps;
-    }
-    while (!fixed.atOutermostLevel()) {
-        fixed.onFailedSteal();
-        ++fixed_steps;
-    }
-    EXPECT_LT(adaptive_steps, fixed_steps);
-    // And the observed rate at the abandoned level collapsed.
-    EXPECT_LT(adaptive.successRate(kLevelCore), 0.5);
-}
-
-TEST(StealEscalation, AdaptiveEarnsPatienceFromSuccesses)
-{
-    EscalationConfig cfg;
-    cfg.kind = EscalationPolicy::Adaptive;
-    cfg.failuresPerLevel = 4;
-    cfg.maxFailures = 8;
-    StealEscalation e(cfg);
-    for (int i = 0; i < 20; ++i)
-        e.onSuccessfulSteal(); // all at the floor level
-    EXPECT_GT(e.successRate(kLevelCore), 0.9);
-    EXPECT_GT(e.failureBudget(), 4); // more patience than the base
-    EXPECT_LE(e.failureBudget(), 8); // but clamped
-}
-
-TEST(StealEscalation, AdaptiveBudgetStaysWithinClamp)
-{
-    EscalationConfig cfg;
-    cfg.kind = EscalationPolicy::Adaptive;
-    cfg.failuresPerLevel = 4;
-    cfg.minFailures = 1;
-    cfg.maxFailures = 6;
-    StealEscalation e(cfg);
-    for (int i = 0; i < 100; ++i) {
-        e.onFailedSteal();
-        EXPECT_GE(e.failureBudget(), 1);
-        EXPECT_LE(e.failureBudget(), 6);
-    }
-    // Saturated at the outermost level regardless of budget.
-    EXPECT_TRUE(e.atOutermostLevel());
-}
-
-// ---------------------------------------------------------------------
-// Informed victim selection (OccupancyBoard-weighted sampling)
-// ---------------------------------------------------------------------
-
-/** Board for @p d's worker layout with no bits set. */
-OccupancyBoard
-boardFor(const StealDistribution &d)
-{
-    return OccupancyBoard(d.numWorkers(), d.workerSockets());
-}
-
-TEST(VictimPolicyNames, AreStable)
-{
-    EXPECT_STREQ(victimPolicyName(VictimPolicy::Distance), "distance");
-    EXPECT_STREQ(victimPolicyName(VictimPolicy::Occupancy), "occupancy");
-    EXPECT_STREQ(victimPolicyName(VictimPolicy::OccupancyAffinity),
-                 "occupancy+affinity");
-}
-
-TEST(VictimWeighting, OccupiedVictimOutranksAnyDryOne)
-{
-    const Machine m = Machine::paperMachine();
-    const StealDistribution d(m, 32, BiasWeights{});
-    OccupancyBoard board = boardFor(d);
-    board.publishDeque(24, true); // two-hop victim, the worst distance
-    // Thief 0: occupied two-hop victim must outweigh a dry pair buddy.
-    const double occupied_far =
-        d.victimWeight(0, 24, VictimPolicy::Occupancy, board, 0);
-    const double dry_near =
-        d.victimWeight(0, 1, VictimPolicy::Occupancy, board, 0);
-    EXPECT_GT(occupied_far, dry_near);
-}
-
-TEST(VictimWeighting, AffinityBoostsOnlyLiveVictims)
-{
-    const Machine m = Machine::paperMachine();
-    const StealDistribution d(m, 32, BiasWeights{});
-    OccupancyBoard board = boardFor(d);
-    board.publishDeque(8, true); // socket 1
-    const uint32_t affinity = 1u << 1; // thief's data homes on socket 1
-    // Live + affine beats live alone...
-    const double live_affine = d.victimWeight(
-        0, 8, VictimPolicy::OccupancyAffinity, board, affinity);
-    const double live_plain = d.victimWeight(
-        0, 8, VictimPolicy::OccupancyAffinity, board, 0);
-    EXPECT_GT(live_affine, live_plain);
-    // ...but a dry victim gains nothing from affinity: the inward bias
-    // that caused the PR 1 heat regression must not come back.
-    const double dry_affine = d.victimWeight(
-        0, 9, VictimPolicy::OccupancyAffinity, board,
-        affinity | (1u << 0));
-    const double dry_plain =
-        d.victimWeight(0, 9, VictimPolicy::OccupancyAffinity, board, 0);
-    EXPECT_DOUBLE_EQ(dry_affine, dry_plain);
-}
-
-TEST(VictimWeighting, AffinityTiesBreakByDistance)
-{
-    const Machine m = Machine::paperMachine();
-    const StealDistribution d(m, 32, BiasWeights{});
-    OccupancyBoard board = boardFor(d);
-    board.publishDeque(8, true);  // socket 1: one hop from thief 0
-    board.publishDeque(24, true); // socket 3: two hops from thief 0
-    const uint32_t affinity = (1u << 1) | (1u << 3); // both affine
-    const double one_hop = d.victimWeight(
-        0, 8, VictimPolicy::OccupancyAffinity, board, affinity);
-    const double two_hop = d.victimWeight(
-        0, 24, VictimPolicy::OccupancyAffinity, board, affinity);
-    EXPECT_GT(one_hop, two_hop);
-}
-
-TEST(VictimWeighting, CrossSocketMailboxIsNotLive)
-{
-    // A parked frame is earmarked for its own socket's place: mailbox
-    // occupancy makes a victim live for same-socket thieves only.
-    const Machine m = Machine::paperMachine();
-    const StealDistribution d(m, 32, BiasWeights{});
-    OccupancyBoard board = boardFor(d);
-    board.publishMailbox(8, true); // socket 1
-    EXPECT_TRUE(d.victimLive(9, 8, board));  // same socket: live
-    EXPECT_FALSE(d.victimLive(0, 8, board)); // cross socket: churn
-    EXPECT_EQ(d.victimWeight(0, 8, VictimPolicy::Occupancy, board, 0),
-              d.victimWeight(0, 9, VictimPolicy::Occupancy, board, 0));
-}
-
-TEST(VictimWeighting, EveryVictimKeepsPositiveWeight)
-{
-    // The Section IV lower bound needs every victim reachable with
-    // probability >= 1/(cP); weights must never hit zero.
-    const Machine m = Machine::paperMachine();
-    const StealDistribution d(m, 32, BiasWeights{});
-    OccupancyBoard board = boardFor(d);
-    board.publishDeque(5, true);
-    for (int v = 0; v < 32; ++v) {
-        if (v == 0)
-            continue;
-        EXPECT_GT(d.victimWeight(0, v, VictimPolicy::OccupancyAffinity,
-                                 board, 0xf),
-                  0.0)
-            << "victim " << v;
-    }
-}
-
-TEST(VictimSampling, AllDryBoardFallsBackToUniformWithinLevel)
-{
-    const Machine m = Machine::paperMachine();
-    const StealDistribution d(m, 32, BiasWeights{});
-    const OccupancyBoard board = boardFor(d); // nothing published
-    Rng rng(42);
-    // Thief 0 at the Place level: victims 1..7, all dry and equidistant
-    // -> uniform, and never the thief.
-    CategoryCounter counts(32);
-    const int n = 70000;
-    for (int i = 0; i < n; ++i)
-        counts.add(static_cast<std::size_t>(d.sampleVictim(
-            0, kLevelPlace, VictimPolicy::Occupancy, &board, 0, rng)));
-    EXPECT_EQ(counts.count(0), 0);
-    for (int v = 1; v <= 7; ++v)
-        EXPECT_NEAR(counts.fraction(static_cast<std::size_t>(v)),
-                    1.0 / 7.0, 0.02)
-            << "victim " << v;
-    for (int v = 8; v < 32; ++v)
-        EXPECT_EQ(counts.count(static_cast<std::size_t>(v)), 0u);
-}
-
-TEST(VictimSampling, ConcentratesOnTheOccupiedVictim)
-{
-    const Machine m = Machine::paperMachine();
-    const StealDistribution d(m, 32, BiasWeights{});
-    OccupancyBoard board = boardFor(d);
-    board.publishDeque(6, true);
-    Rng rng(7);
-    CategoryCounter counts(32);
-    const int n = 50000;
-    for (int i = 0; i < n; ++i)
-        counts.add(static_cast<std::size_t>(d.sampleVictim(
-            0, kLevelPlace, VictimPolicy::Occupancy, &board, 0, rng)));
-    // Occupied victim 6 carries 16/(16 + 6) of the level weight.
-    EXPECT_GT(counts.fraction(6), 0.6);
-    EXPECT_EQ(counts.count(0), 0);
-}
-
-TEST(VictimSampling, DistancePolicyIgnoresTheBoard)
-{
-    const Machine m = Machine::paperMachine();
-    const StealDistribution d(m, 32, BiasWeights{});
-    OccupancyBoard board = boardFor(d);
-    board.publishDeque(24, true);
-    Rng rng_a(11), rng_b(11);
-    for (int i = 0; i < 1000; ++i) {
-        EXPECT_EQ(d.sampleVictim(0, kLevelPlace, VictimPolicy::Distance,
-                                 &board, 0, rng_a),
-                  d.sampleAtLevel(0, kLevelPlace, rng_b));
-    }
-}
-
-TEST(VictimSampling, SingleSocketDegenerateStaysValid)
-{
-    const Machine m = Machine::singleSocket(4);
-    const StealDistribution d(m, 4, BiasWeights{});
-    OccupancyBoard board = boardFor(d);
-    EXPECT_EQ(board.numSockets(), 1);
-    Rng rng(3);
-    for (int i = 0; i < 2000; ++i) {
-        const int v = d.sampleVictim(1, kLevelCore,
-                                     VictimPolicy::OccupancyAffinity,
-                                     &board, 1u, rng);
-        EXPECT_NE(v, 1);
-        EXPECT_GE(v, 0);
-        EXPECT_LT(v, 4);
-    }
-    board.publishDeque(3, true);
-    EXPECT_EQ(d.firstLiveLevel(1, kLevelCore, board),
-              d.levelOf(1, 3));
-}
-
-TEST(FirstLiveLevel, SkipsDryLevelsToThePublishedWork)
-{
-    const Machine m = Machine::paperMachine();
-    const StealDistribution d(m, 32, BiasWeights{});
-    OccupancyBoard board = boardFor(d);
-    board.publishDeque(24, true); // only socket 3 (remote) has work
-    EXPECT_EQ(d.firstLiveLevel(0, kLevelCore, board), kLevelRemote);
-    // Work within the current radius keeps the level unchanged.
-    board.publishDeque(1, true);
-    EXPECT_EQ(d.firstLiveLevel(0, kLevelCore, board), kLevelCore);
-    // An already-wide radius never narrows back.
-    EXPECT_EQ(d.firstLiveLevel(0, kLevelSocket, board), kLevelSocket);
-}
-
-TEST(FirstLiveLevel, AllDryBoardGoesOutermost)
-{
-    const Machine m = Machine::paperMachine();
-    const StealDistribution d(m, 32, BiasWeights{});
-    const OccupancyBoard board = boardFor(d);
-    // Every level provably dry: one machine-wide (insurance) probe
-    // replaces a ladder of cheap local ones.
-    EXPECT_EQ(d.firstLiveLevel(0, kLevelCore, board), kLevelRemote);
-    EXPECT_EQ(d.firstLiveLevel(0, kLevelRemote, board), kLevelRemote);
 }
 
 } // namespace
