@@ -153,24 +153,6 @@ threadedRow(const char *workload, DataHeapPolicy heap,
     return row;
 }
 
-bool
-gateMin(const char *what, double actual, double limit)
-{
-    const bool ok = actual >= limit;
-    std::printf("  gate %-46s %.4f >= %.4f  %s\n", what, actual, limit,
-                ok ? "ok" : "FAIL");
-    return ok;
-}
-
-bool
-gateMax(const char *what, double actual, double limit)
-{
-    const bool ok = actual <= limit;
-    std::printf("  gate %-46s %.4f <= %.4f  %s\n", what, actual, limit,
-                ok ? "ok" : "FAIL");
-    return ok;
-}
-
 /** Fill both grids with the deterministic initial condition the
  * correctness check replays serially. */
 template <typename Grid>

@@ -35,7 +35,6 @@
  *     runs of one seed (preemption and aging replay exactly).
  */
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -49,39 +48,6 @@ using namespace numaws::bench;
 using namespace numaws::workloads;
 
 namespace {
-
-/** Exact quantile from an unsorted sample (sorts a copy). */
-double
-exactQuantile(std::vector<double> sample, double q)
-{
-    if (sample.empty())
-        return 0.0;
-    std::sort(sample.begin(), sample.end());
-    const double n = static_cast<double>(sample.size());
-    std::size_t idx = static_cast<std::size_t>(q * n + 0.999999);
-    idx = idx > 0 ? idx - 1 : 0;
-    if (idx >= sample.size())
-        idx = sample.size() - 1;
-    return sample[idx];
-}
-
-bool
-gateMax(const char *what, double actual, double limit)
-{
-    const bool ok = actual <= limit;
-    std::printf("  gate %-52s %.4f <= %.4f  %s\n", what, actual, limit,
-                ok ? "ok" : "FAIL");
-    return ok;
-}
-
-bool
-gateMin(const char *what, double actual, double limit)
-{
-    const bool ok = actual >= limit;
-    std::printf("  gate %-52s %.4f >= %.4f  %s\n", what, actual, limit,
-                ok ? "ok" : "FAIL");
-    return ok;
-}
 
 // ---------------------------------------------------------------------
 // Sim side
@@ -349,54 +315,12 @@ simRow(const PreemptScenario &sc, int cores, uint64_t seed,
 }
 
 // ---------------------------------------------------------------------
-// Threaded side: fork-join job bodies (the library helpers wrap
-// rt.run() and cannot be called from inside a job). The Batch body is
-// boundary-dense (many spawns per step) so a raised yield directive is
-// observed within a fraction of the job, and the Latency body is a
-// single serial block so its execution time is load-independent.
+// Threaded side: the job bodies live in bench_common.h. The Batch body
+// (heatJob) is boundary-dense (many spawns per step) so a raised yield
+// directive is observed within a fraction of the job, and the Latency
+// body (matmulSerialJob) is a single serial block so its execution
+// time is load-independent.
 // ---------------------------------------------------------------------
-
-double
-heatJob(int64_t nx, int64_t ny, int64_t steps)
-{
-    std::vector<double> a(static_cast<std::size_t>(nx) * ny, 1.0);
-    std::vector<double> b(a.size(), 0.0);
-    double *src = a.data();
-    double *dst = b.data();
-    for (int64_t t = 0; t < steps; ++t) {
-        parallelForRange(1, nx - 1, /*grain=*/nx / 4 + 1,
-                         [&](int64_t lo, int64_t hi) {
-                             for (int64_t i = lo; i < hi; ++i)
-                                 for (int64_t j = 1; j < ny - 1; ++j)
-                                     dst[i * ny + j] =
-                                         0.25
-                                         * (src[(i - 1) * ny + j]
-                                            + src[(i + 1) * ny + j]
-                                            + src[i * ny + j - 1]
-                                            + src[i * ny + j + 1]);
-                         });
-        std::swap(src, dst);
-    }
-    return src[ny + 1];
-}
-
-double
-matmulSerialJob(uint32_t n)
-{
-    std::vector<double> a(static_cast<std::size_t>(n) * n, 1.0);
-    std::vector<double> b(a.size(), 2.0);
-    std::vector<double> c(a.size(), 0.0);
-    for (uint32_t i = 0; i < n; ++i)
-        for (uint32_t k = 0; k < n; ++k) {
-            const double aik = a[static_cast<std::size_t>(i) * n + k];
-            for (uint32_t j = 0; j < n; ++j)
-                c[static_cast<std::size_t>(i) * n + j] +=
-                    aik * b[static_cast<std::size_t>(k) * n + j];
-        }
-    return c[0];
-}
-
-std::atomic<double> g_sink{0.0};
 
 /** Submit one job of the scenario's mix. Saturated: 1-in-8 Latency
  * serial blocks amid spawn-dense Batch heat; Flood: a Normal-class
@@ -451,24 +375,14 @@ runThreadedStream(Runtime &rt, MixKind kind,
         submitPreemptJob(rt, kind, i, 0).wait();
     rt.resetStats();
 
-    std::vector<JobHandle> handles;
-    handles.reserve(arrival_ns.size());
-    const int64_t t0 = nowNs();
-    for (std::size_t i = 0; i < arrival_ns.size(); ++i) {
-        const int64_t target = t0 + static_cast<int64_t>(arrival_ns[i]);
-        while (nowNs() < target) {
-            if (target - nowNs() > 200000)
-                std::this_thread::sleep_for(
-                    std::chrono::microseconds(100));
-        }
-        handles.push_back(submitPreemptJob(
-            rt, kind, static_cast<int>(i), deadline_ns));
-    }
-    for (JobHandle &h : handles)
-        h.wait();
+    PacedRun run = runPaced(arrival_ns, [&](std::size_t i) {
+        return submitPreemptJob(rt, kind, static_cast<int>(i),
+                                deadline_ns);
+    });
+    std::vector<JobHandle> &handles = run.handles;
 
     ThreadedRun r;
-    r.elapsed_s = static_cast<double>(nowNs() - t0) * 1e-9;
+    r.elapsed_s = run.elapsed_s;
     r.arrival_per_s =
         static_cast<double>(handles.size()) / r.elapsed_s;
     std::vector<double> lat_us, lat_cls_us, queue_us;

@@ -181,15 +181,6 @@ spawnRow(const char *workload, TaskPoolPolicy pool, int workers,
     return row;
 }
 
-bool
-gateMin(const char *what, double actual, double limit)
-{
-    const bool ok = actual >= limit;
-    std::printf("  gate %-46s %.4f >= %.4f  %s\n", what, actual, limit,
-                ok ? "ok" : "FAIL");
-    return ok;
-}
-
 } // namespace
 
 int

@@ -47,9 +47,7 @@ KEY_FIELDS = (
     "engine",
     "workload",
     "policy",
-    "park",
     "push",
-    "tuning",
     "pool",
     "mailbox",
     "cores",

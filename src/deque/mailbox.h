@@ -66,10 +66,10 @@ class Mailbox
 
     /**
      * Also wake @p lot's slot for @p socket whenever a deposit flips
-     * the socket's board occupancy 0 -> nonzero (ParkPolicy::Board).
-     * The deposit is the runtime's second publish point (after
-     * Worker::pushTask), so parked workers learn about frames parked
-     * for their place without a timer. Requires attachBoard.
+     * the socket's board occupancy 0 -> nonzero. The deposit is the
+     * runtime's second publish point (after Worker::pushTask), so
+     * parked workers learn about frames parked for their place without
+     * waiting out the fallback timeout. Requires attachBoard.
      */
     void
     attachParking(ParkingLot *lot, int socket)

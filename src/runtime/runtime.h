@@ -16,8 +16,7 @@
  * SchedPolicy nested in RuntimeOptions (sched/policy.h, where the full
  * knob table is documented). Worker::trySteal/pushBack/mainLoop are
  * thin drivers that execute the core's actions against the threaded
- * mechanics: real deques, mailboxes, condition variables, and the
- * ParkingLot. The simulator drives the very same core, so ablations on
+ * mechanics: real deques, mailboxes, and the ParkingLot. The simulator drives the very same core, so ablations on
  * either engine toggle one shared implementation.
  *
  * Since PR 6 the public entry point is *job submission* (the serving
@@ -580,9 +579,8 @@ class Worker
         _bucket = b;
     }
 
-    /** The own deque just gained work: publish the bit and wake per
-     * the core's WakeDirective (targeted edge wake under board
-     * parking, global notify under the timer). The single
+    /** The own deque just gained work: publish the bit and, on a
+     * socket 0 -> nonzero edge, wake this worker's socket. The single
      * wake-protocol site for pushTask. */
     void publishOwnDequeAndNotify();
 
@@ -822,9 +820,8 @@ class Runtime
     /**
      * Park the calling worker (of @p socket) until work might exist,
      * for at most @p timeout_us microseconds (the caller's StealCore
-     * supplies the tuned bound). Timer policy: bounded global wait.
-     * Board policy: per-socket ParkingLot slot with the bounded
-     * fallback timeout.
+     * supplies the tuned bound): a per-socket ParkingLot slot with the
+     * bounded fallback timeout.
      * @return true when the wait ended by a notification or a
      *         work/shutdown predicate, false on a plain timeout.
      */
@@ -832,13 +829,9 @@ class Runtime
     /** Wake every parked worker (shutdown — an event every socket must
      * see). */
     void notifyWork();
-    /** Targeted wake: @p socket's board words went 0 -> nonzero. Under
-     * timer parking this degrades to notifyWork() (one global cv). */
+    /** Targeted wake: @p socket's board words went 0 -> nonzero, or an
+     * admission chose it (sched/admission.h). */
     void notifyWorkOn(int socket);
-    /** A job landed in the queue: the admission edge of the elastic
-     * pool. Wakes the hinted place's parked workers, or round-robins
-     * across sockets for unhinted jobs. */
-    void notifyAdmission(Place place);
     /** Timestamp + histogram + completion signalling for a job whose
      * root ran to completion on the calling worker. @p outcome is
      * Done, Failed, Cancelled, or Expired (the latter two when the
@@ -852,7 +845,7 @@ class Runtime
 
     /** Deposit an admitted job on the queue, apply QueueDelay shedding
      * (one victim per admission while overloaded), and fire the
-     * admission wake. */
+     * admission wake (admissionWakeSocket). */
     void enqueueJob(TaskBase *root, std::shared_ptr<JobState> state);
     /** Resolve a job that will never run (claim-time skip, shed
      * victim, submit rejection, teardown cancel): publish @p outcome
@@ -915,8 +908,6 @@ class Runtime
     };
     AtomicOutcomeCounts _outcomes[kNumJobClasses];
 
-    std::mutex _parkMutex;
-    std::condition_variable _parkCv;
     /** Signalled when _activeJobs drains to zero (destructor barrier). */
     std::mutex _quiesceMutex;
     std::condition_variable _quiesceCv;

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "sched/admission.h"
 #include "support/panic.h"
 #include "topology/affinity.h"
 
@@ -40,7 +41,7 @@ Runtime::Runtime(RuntimeOptions options)
             options.sched.biasedSteals ? options.sched.biasWeights
                                        : BiasWeights::uniform()),
       _board(_dist.numWorkers(), _dist.workerSockets()),
-      _parking(options.sched.boardParking() ? _board.numSockets() : 0),
+      _parking(_board.numSockets()),
       _pageMap(std::max(1, options.numPlaces)),
       _arena(_pageMap),
       _shed(options.sched.serving),
@@ -187,79 +188,33 @@ Runtime::resetStats()
 bool
 Runtime::idleWait(int socket, int timeout_us)
 {
-    // The ParkingLot exists iff the policy parks per socket, so its
-    // enabled() bit is the park-policy dispatch — no enum branching
-    // here. The (possibly EWMA-tuned) timeout comes from the caller's
-    // StealCore.
-    if (_parking.enabled()) {
-        // Park tagged with the socket; only an occupancy edge on this
-        // socket (or notifyWork) wakes it before the fallback. The
-        // predicate runs after waiter registration, so a wake issued
-        // once we are registered is never lost; the fallback bounds
-        // the one pre-registration publish window (parking.h docs).
-        return _parking.park(
-            socket, std::chrono::microseconds(timeout_us),
-            [this, socket] {
-                // jobPending: the admission queue is not on the board,
-                // so the elastic pool must check it explicitly — this
-                // predicate is what makes parking safe against
-                // admissions racing the registration.
-                return shuttingDown() || jobPending()
-                       || (workActive() && _board.anyWorkFor(socket));
-            });
-    }
-    std::unique_lock<std::mutex> lock(_parkMutex);
-    if (shuttingDown())
-        return true;
-    // Bounded wait: a lost wakeup costs at most one timeout period.
-    return _parkCv.wait_for(lock, std::chrono::microseconds(timeout_us))
-           == std::cv_status::no_timeout;
+    // Park tagged with the socket; only an occupancy edge on this
+    // socket (or notifyWork) wakes it before the fallback, whose
+    // (possibly EWMA-tuned) length comes from the caller's StealCore.
+    // The predicate runs after waiter registration, so a wake issued
+    // once we are registered is never lost; the fallback bounds the one
+    // pre-registration publish window (parking.h docs).
+    return _parking.park(
+        socket, std::chrono::microseconds(timeout_us), [this, socket] {
+            // jobPending: the admission queue is not on the board, so
+            // the elastic pool must check it explicitly — this
+            // predicate is what makes parking safe against admissions
+            // racing the registration.
+            return shuttingDown() || jobPending()
+                   || (workActive() && _board.anyWorkFor(socket));
+        });
 }
 
 void
 Runtime::notifyWork()
 {
-    if (_parking.enabled())
-        _parking.wakeAll();
-    _parkCv.notify_all();
+    _parking.wakeAll();
 }
 
 void
 Runtime::notifyWorkOn(int socket)
 {
-    if (_parking.enabled()) {
-        _parking.wake(socket);
-        return;
-    }
-    _parkCv.notify_all();
-}
-
-void
-Runtime::notifyAdmission(Place place)
-{
-    // One targeted wake per admission: the hinted place's socket when
-    // the job carries a hint, else a round-robin socket so bursts of
-    // unhinted jobs fan their wakes out instead of thundering one
-    // parking-lot slot. A wake that races a worker's park registration
-    // is never lost — the park predicate rechecks jobPending() after
-    // registering — and a wake targeting a socket with no parked
-    // workers is bounded by the fallback timeout of the others.
-    const int sockets = _board.numSockets();
-    int socket;
-    if (isConcretePlace(place) && place < sockets) {
-        socket = place;
-    } else {
-        socket = static_cast<int>(
-            _admitCursor.fetch_add(1, std::memory_order_relaxed)
-            % static_cast<uint32_t>(sockets));
-    }
-    // Interference steering: an admission wake aimed at a pressured
-    // socket lands on workers that are being timesliced (or retired);
-    // redirect it to the nearest calm socket. steerSocket is the
-    // identity when adaptation is off or every socket is calm, so the
-    // Off schedule is untouched.
-    socket = _interference.steerSocket(socket);
-    notifyWorkOn(socket);
+    _parking.wake(socket);
 }
 
 TaskBase *
@@ -380,14 +335,19 @@ Runtime::enqueueJob(TaskBase *root, std::shared_ptr<JobState> state)
     // Cooperative preemption: if every worker is busy with lower-class
     // work, ask the lowest-priority one to yield at its next boundary.
     maybePreempt(cls);
-    // Shed-aware elastic unpark: once any class's delay EWMA reaches
-    // the configured lead fraction of its shed target, escalate from
-    // one targeted wake to waking every parked worker — capacity
-    // arrives before the shed threshold crosses, not after.
-    if (_shed.unparkPressure())
+    // The admission wake (sched/admission.h). A wake that races a
+    // worker's park registration is never lost — the park predicate
+    // rechecks jobPending() after registering — and a wake targeting a
+    // socket with no parked workers is bounded by the fallback timeout
+    // of the others.
+    const int socket = admissionWakeSocket(
+        _shed, _interference, place, _board.numSockets(), [this] {
+            return _admitCursor.fetch_add(1, std::memory_order_relaxed);
+        });
+    if (socket == kWakeAllSockets)
         notifyWork();
     else
-        notifyAdmission(place);
+        notifyWorkOn(socket);
 }
 
 void

@@ -5,7 +5,6 @@
 #include "topology/affinity.h"
 
 #include <chrono>
-#include <thread>
 
 namespace numaws {
 
@@ -70,14 +69,11 @@ Worker::Worker(Runtime &runtime, int id, int place, uint64_t seed,
 {
     // Mailbox occupancy reaches the board from inside tryPut/tryTake, so
     // pushers and thieves publish transitions without extra call sites;
-    // under board parking the deposit edge also wakes this worker's
-    // parked socket from the same spot.
+    // the deposit edge also wakes this worker's parked socket from the
+    // same spot.
     const SchedPolicy &pol = runtime.options().sched;
-    if (pol.boardPublishing()) {
-        _mailbox.attachBoard(&runtime.board(), id);
-        if (pol.boardParking())
-            _mailbox.attachParking(&runtime.parkingLot(), place);
-    }
+    _mailbox.attachBoard(&runtime.board(), id);
+    _mailbox.attachParking(&runtime.parkingLot(), place);
     // Cached so the spawn-boundary yield peek costs one bool when
     // preemption is off (the work-first price of the whole feature).
     _preemptEnabled = pol.serving.preempt;
@@ -112,25 +108,14 @@ Worker::publishOwnDequeAndNotify()
     // harmless direction (a thief's dry-probe repair cleared the bit
     // behind us), which leaves a bounded false-empty the board
     // contract allows and acquireLocal's unconditional publish on the
-    // next pop repairs. The core turns the edge verdict into a wake
-    // directive: under board parking only a 0 -> nonzero socket edge
-    // can find sleepers worth waking.
-    bool socket_edge = false;
-    if (_runtime.options().sched.boardPublishing()
-        && !_dequeBitPublished) {
-        socket_edge = _runtime.board().publishDeque(_id, true);
-        _dequeBitPublished = true;
-    }
-    switch (_core.onPublishEdge(socket_edge)) {
-      case WakeDirective::TargetedSocket:
+    // next pop repairs. Only a 0 -> nonzero socket edge can find
+    // sleepers worth waking.
+    if (_dequeBitPublished)
+        return;
+    const bool socket_edge = _runtime.board().publishDeque(_id, true);
+    _dequeBitPublished = true;
+    if (socket_edge)
         _runtime.notifyWorkOn(_place);
-        break;
-      case WakeDirective::Global:
-        _runtime.notifyWork();
-        break;
-      case WakeDirective::None:
-        break;
-    }
 }
 
 void
@@ -143,7 +128,6 @@ Worker::pushTask(TaskBase *task)
 TaskBase *
 Worker::acquireLocal()
 {
-    const bool publishing = _runtime.options().sched.boardPublishing();
     // Work path first: the tail of the own deque...
     if (TaskBase *t = _deque.popTail()) {
         // Publish the *actual* state, not just the pop-to-empty edge: a
@@ -153,17 +137,13 @@ Worker::acquireLocal()
         // (unchanged) case one relaxed load. This is also the repair
         // point for the spawn path's published-bit cache, so it stays
         // an unconditional call.
-        if (publishing) {
-            const bool nonempty = !_deque.empty();
-            _runtime.board().publishDeque(_id, nonempty);
-            _dequeBitPublished = nonempty;
-        }
+        const bool nonempty = !_deque.empty();
+        _runtime.board().publishDeque(_id, nonempty);
+        _dequeBitPublished = nonempty;
         return t;
     }
-    if (publishing) {
-        _runtime.board().publishDeque(_id, false);
-        _dequeBitPublished = false;
-    }
+    _runtime.board().publishDeque(_id, false);
+    _dequeBitPublished = false;
     // ...then POPMAILBOX: a frame some worker parked here for this place.
     if (TaskBase *t = _mailbox.tryTake()) {
         ++_counters.mailboxTakes;
@@ -183,7 +163,6 @@ Worker::trySteal()
     _dataHeap.drainRemote();
     if (_runtime.numWorkers() <= 1)
         return nullptr;
-    const SchedPolicy &pol = _runtime.options().sched;
     // Both decisions — victim and mailbox-vs-deque inspection order —
     // come from the core; this driver only executes them against the
     // real deques and mailboxes.
@@ -201,7 +180,7 @@ Worker::trySteal()
         task = victim.deque().stealHead();
         // The probe already paid for the cache traffic: repair the
         // victim's staleness (a 1-bit over an empty deque) for free.
-        if (pol.boardPublishing() && victim.deque().empty())
+        if (victim.deque().empty())
             _runtime.board().publishDeque(action.victim, false);
     }
     if (task == nullptr)
@@ -248,13 +227,9 @@ Worker::pushBack(TaskBase *task)
         const int receiver =
             _core.pickPushReceiver(first, last, /*self=*/-1, target);
         if (_runtime.worker(receiver).mailbox().tryPut(task)) {
+            // tryPut already woke the receiver's socket on the
+            // deposit's occupancy edge (Mailbox::attachParking).
             ++_counters.pushbackSuccesses;
-            // Under board parking, tryPut already woke the receiver's
-            // socket on the deposit's occupancy edge
-            // (Mailbox::attachParking); the timer protocol notifies
-            // globally.
-            if (_core.onPublishEdge(false) == WakeDirective::Global)
-                _runtime.notifyWork();
             return true;
         }
         task->incPushCount();
@@ -514,12 +489,8 @@ Worker::retirePark()
         _runtime.options().sched.serving.pressureEpochUs);
     const int64_t park_start = nowNs();
     _parkedNow.store(true, std::memory_order_relaxed);
-    if (_runtime.parkingLot().enabled())
-        _runtime.parkingLot().park(_place, epoch, [this] {
-            return _runtime.shuttingDown();
-        });
-    else
-        std::this_thread::sleep_for(epoch);
+    _runtime.parkingLot().park(_place, epoch,
+                               [this] { return _runtime.shuttingDown(); });
     _parkedNow.store(false, std::memory_order_relaxed);
     const int64_t parked = nowNs() - park_start;
     _parkedNs.fetch_add(static_cast<uint64_t>(parked),
@@ -550,7 +521,6 @@ Worker::mainLoop()
     if (_interferenceEnabled)
         _pressureSensor.begin();
 
-    const SchedPolicy &pol = _runtime.options().sched;
     while (!_runtime.shuttingDown()) {
         if (_interferenceEnabled) {
             // Retirement check sits at the loop top, before job claims
@@ -614,12 +584,10 @@ Worker::mainLoop()
             if (_interferenceEnabled)
                 _pressureSensor.notePark(parked);
             // A wake that lands on a still-dry board bought nothing:
-            // the wakeup-storm metric the board policy is gated on
-            // (only meaningful when the board is being published). The
-            // same verdict feeds the core's park tuner — quiescent-
-            // runtime parks are skipped, they say nothing about in-run
-            // wake latency.
-            if (pol.boardPublishing() && _runtime.workActive()) {
+            // the wakeup-storm metric. The same verdict feeds the
+            // core's park tuner — quiescent-runtime parks are skipped,
+            // they say nothing about in-run wake latency.
+            if (_runtime.workActive()) {
                 const bool found = _runtime.board().anyWorkFor(_place)
                                    || _runtime.jobPending();
                 if (!found)

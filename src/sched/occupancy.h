@@ -102,46 +102,6 @@ class OccupancyBoard
 
     /** @name Observation (any thread; acquire loads) */
     /// @{
-    bool
-    dequeNonempty(int worker) const
-    {
-        return enabled()
-               && (dequeBits(_socketOf[worker]) & _maskOf[worker]) != 0;
-    }
-
-    bool
-    mailboxOccupied(int worker) const
-    {
-        return enabled()
-               && (mailboxBits(_socketOf[worker]) & _maskOf[worker]) != 0;
-    }
-
-    /** Deque non-empty or mailbox occupied. */
-    bool
-    workerHasWork(int worker) const
-    {
-        if (!enabled())
-            return false;
-        const SocketWords &w = _words[_socketOf[worker]];
-        const uint64_t m = _maskOf[worker];
-        return ((w.deque.load(std::memory_order_acquire)
-                 | w.mailbox.load(std::memory_order_acquire))
-                & m)
-               != 0;
-    }
-
-    /** Any published work anywhere on the machine (one load per socket).
-     * Advisory like every board read: a false-empty board may lag
-     * reality, so a false here must only ever delay work, never hide it. */
-    bool
-    anyWork() const
-    {
-        for (int s = 0; s < _numSockets; ++s)
-            if (socketHasWork(s))
-                return true;
-        return false;
-    }
-
     /**
      * Any work *stealable by a thief on @p socket*: deque bits count on
      * every socket, mailbox bits only on the thief's own. PUSHBACK
@@ -163,18 +123,6 @@ class OccupancyBoard
                 return true;
         }
         return false;
-    }
-
-    /** Any worker on @p socket with a non-empty deque or mailbox. */
-    bool
-    socketHasWork(int socket) const
-    {
-        if (!enabled())
-            return false;
-        const SocketWords &w = _words[socket];
-        return (w.deque.load(std::memory_order_acquire)
-                | w.mailbox.load(std::memory_order_acquire))
-               != 0;
     }
 
     /** Raw deque bitmap of @p socket (bit i == i-th worker on it). */

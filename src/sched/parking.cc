@@ -6,17 +6,13 @@ namespace numaws {
 
 ParkingLot::ParkingLot(int sockets) : _numSockets(sockets)
 {
-    NUMAWS_ASSERT(sockets >= 0);
-    if (sockets > 0)
-        _slots = std::make_unique<Slot[]>(
-            static_cast<std::size_t>(sockets));
+    NUMAWS_ASSERT(sockets >= 1);
+    _slots = std::make_unique<Slot[]>(static_cast<std::size_t>(sockets));
 }
 
 void
 ParkingLot::wake(int socket)
 {
-    if (!enabled())
-        return;
     Slot &s = _slots[socket];
     // Fast path: nobody parked here. A parker concurrently entering
     // park() re-checks its predicate after registering, so skipping the

@@ -2,20 +2,16 @@
  * @file
  * Occupancy-guided idle-worker parking and PUSHBACK targeting.
  *
- * Two blind spots survived PR 2's OccupancyBoard: idle workers still
- * wake on a fixed timer whether or not work exists anywhere, and the
- * PUSHBACK pusher still probes random receivers whose mailboxes may be
- * full. Both policies are made board-guided here, each behind its own
- * ablatable knob:
+ * Both idle-path decisions read the OccupancyBoard:
  *
- *  - ParkPolicy::Board replaces the global 200us timer wait with a
- *    per-socket ParkingLot: a worker parks tagged with its socket, and
- *    wakers notify only the sockets whose board words transitioned
- *    0 -> nonzero (the edge OccupancyBoard::publishDeque/publishMailbox
- *    now report back), so a push on socket 2 no longer wakes parked
- *    workers on sockets 0, 1, and 3. A bounded fallback timeout keeps
- *    liveness: a lost wakeup costs at most one fallback period, never
- *    starvation.
+ *  - Parking is per socket and the only idle protocol: a worker parks
+ *    in a ParkingLot slot tagged with its socket, and wakers notify only
+ *    the sockets whose board words transitioned 0 -> nonzero (the edge
+ *    OccupancyBoard::publishDeque/publishMailbox report back), so a push
+ *    on socket 2 does not wake parked workers on sockets 0, 1, and 3.
+ *    A bounded fallback timeout (SchedPolicy::parkFallbackUs, scaled by
+ *    the EWMA ParkTuner) keeps liveness: a lost wakeup costs at most
+ *    one fallback period, never starvation.
  *  - PushTarget::Board picks PUSHBACK receivers from the complement of
  *    OccupancyBoard::mailboxBits(socket) — the workers whose mailbox
  *    advertises room — instead of probing blind, falling back to the
@@ -42,7 +38,6 @@
 #include <memory>
 #include <mutex>
 
-#include "sched/policy.h" // ParkPolicy/PushTarget (the unified knob set)
 #include "support/cache_aligned.h"
 #include "support/rng.h"
 
@@ -62,15 +57,12 @@ namespace numaws {
 class ParkingLot
 {
   public:
-    /** A disabled lot (no sockets): park returns immediately. */
-    ParkingLot() = default;
-
+    /** @p sockets >= 1 slots, one per socket. */
     explicit ParkingLot(int sockets);
 
     ParkingLot(const ParkingLot &) = delete;
     ParkingLot &operator=(const ParkingLot &) = delete;
 
-    bool enabled() const { return _numSockets > 0; }
     int numSockets() const { return _numSockets; }
 
     /**
@@ -87,8 +79,6 @@ class ParkingLot
     bool
     park(int socket, std::chrono::microseconds timeout, Pred pred)
     {
-        if (!enabled())
-            return false;
         Slot &s = _slots[socket];
         std::unique_lock<std::mutex> lock(s.m);
         s.waiters.fetch_add(1, std::memory_order_seq_cst);
@@ -132,18 +122,15 @@ class ParkingLot
     int
     waiters(int socket) const
     {
-        return enabled() ? static_cast<int>(_slots[socket].waiters.load(
-                   std::memory_order_acquire))
-                         : 0;
+        return static_cast<int>(
+            _slots[socket].waiters.load(std::memory_order_acquire));
     }
 
     /** Wakes delivered to a non-empty slot (wakeAll included). */
     uint64_t
     wakesDelivered(int socket) const
     {
-        return enabled() ? _slots[socket].delivered.load(
-                   std::memory_order_relaxed)
-                         : 0;
+        return _slots[socket].delivered.load(std::memory_order_relaxed);
     }
     /// @}
 

@@ -27,21 +27,6 @@
 
 namespace numaws {
 
-/** How idle workers wait for work to appear. */
-enum class ParkPolicy : uint8_t
-{
-    /** Park on one global condition variable with a short periodic
-     * timeout (the PR 0 behavior): every idle worker wakes every period
-     * to re-probe, work or not. */
-    Timer,
-    /** Park per socket; wake only the sockets whose OccupancyBoard
-     * words went 0 -> nonzero, with a longer fallback timeout as
-     * lost-wakeup insurance. The default since PR 4 (PR 3's soak:
-     * ~0.18x spurious wakeups, ~0.85x simulated time on the idle-heavy
-     * serial-burst workload, gates at 2x / 1.02x with margin). */
-    Board,
-};
-
 /** How PUSHBACK picks the receiver of a parked frame. */
 enum class PushTarget : uint8_t
 {
@@ -56,36 +41,6 @@ enum class PushTarget : uint8_t
     Board,
 };
 
-/** How the parking constants are set.
- *
- * Fixed reproduces PR 3: parkFallbackUs/parkTimerUs and the
- * parkSpinFailures budget are used as configured. Ewma derives both
- * from an EWMA of park outcomes observed by each worker's StealCore —
- * a park that ends productively (work was there on wake) argues for
- * spinning longer and sleeping shorter; a park that ends spurious or
- * dry argues the opposite — with the neutral prior sitting exactly at
- * the configured constants, so the two modes start identical and
- * diverge only with evidence. See ParkTuner in sched/steal_core.h.
- */
-enum class ParkTuning : uint8_t
-{
-    Fixed,
-    Ewma,
-};
-
-/** Stable name for bench JSON / CLI ("timer" | "board"). */
-inline const char *
-parkPolicyName(ParkPolicy p)
-{
-    switch (p) {
-      case ParkPolicy::Timer:
-        return "timer";
-      case ParkPolicy::Board:
-        return "board";
-    }
-    return "?";
-}
-
 /** Stable name for bench JSON / CLI ("random" | "board"). */
 inline const char *
 pushTargetName(PushTarget t)
@@ -95,19 +50,6 @@ pushTargetName(PushTarget t)
         return "random";
       case PushTarget::Board:
         return "board";
-    }
-    return "?";
-}
-
-/** Stable name for bench JSON / CLI ("fixed" | "ewma"). */
-inline const char *
-parkTuningName(ParkTuning t)
-{
-    switch (t) {
-      case ParkTuning::Fixed:
-        return "fixed";
-      case ParkTuning::Ewma:
-        return "ewma";
     }
     return "?";
 }
@@ -269,8 +211,9 @@ struct ServingPolicy
 /**
  * Scheduling-policy knobs shared verbatim by the threaded runtime and
  * the simulator. Mirrors the paper's mechanisms one-for-one (each
- * independently ablatable) plus the idle-path protocols: parking,
- * PUSHBACK receiver selection and park tuning.
+ * independently ablatable) plus the idle path: one parking protocol
+ * (per-socket board parking with EWMA-tuned constants, see ParkTuner in
+ * sched/steal_core.h) and PUSHBACK receiver selection.
  */
 struct SchedPolicy
 {
@@ -288,40 +231,23 @@ struct SchedPolicy
     int pushThreshold = 4;
     /** Mailbox slots per worker (the paper's protocol is capacity 1). */
     int mailboxCapacity = 1;
-    /** Idle-worker parking policy (see ParkPolicy). */
-    ParkPolicy parkPolicy = ParkPolicy::Board;
-    /** Timer-policy wait period, microseconds. */
-    int parkTimerUs = 200;
-    /** Board-policy fallback timeout, microseconds: the most a lost or
-     * cross-socket wakeup can cost before the worker re-probes. */
+    /** Park fallback timeout at the tuner's neutral prior,
+     * microseconds: the most a lost or cross-socket wakeup can cost
+     * before the worker re-probes. The EWMA tuner scales it. */
     int parkFallbackUs = 1000;
     /**
      * Fruitless scheduling-loop iterations (threaded engine) or probes
      * (simulator, when SimConfig::modelParking) a worker spins through
-     * before parking. The Ewma tuning scales this budget.
+     * before parking, at the tuner's neutral prior. The EWMA tuner
+     * scales this budget.
      */
     int parkSpinFailures = 64;
-    /** Fixed constants vs EWMA-derived parking knobs (see ParkTuning).
-     * Ewma became the default in PR 6 after two independent soaks (the
-     * PR 5 serialburst soak and a rerun against this tree) agreed:
-     * ~0.81x parks and ~0.67x spurious wakeups at unchanged makespan.
-     * ParkTuning::Fixed recovers the PR 3 constants for ablation. */
-    ParkTuning parkTuning = ParkTuning::Ewma;
     /** PUSHBACK receiver selection (see PushTarget). */
     PushTarget pushTarget = PushTarget::Board;
     /** Overload protection for the serving front door: admission
      * bounds and load shedding (see ServingPolicy / ShedPolicy above).
      * Executed by the shared ShedCore in both engines. */
     ServingPolicy serving{};
-
-    /** @name Derived predicates
-     * The single source of truth for "is the board in play" — every
-     * consumer (board parking, board-guided PUSHBACK, EWMA park tuning)
-     * forces publication, and a config with no consumer never pays a
-     * single RMW. */
-    /// @{
-    /** Idle workers park per socket and ride occupancy-edge wakes. */
-    bool boardParking() const { return parkPolicy == ParkPolicy::Board; }
 
     /** PUSHBACK receivers sampled from advertised mailbox room. */
     bool
@@ -330,32 +256,16 @@ struct SchedPolicy
         return pushTarget == PushTarget::Board;
     }
 
-    /** Board publication active: the union of every board consumer.
-     * Ewma park tuning is a consumer too — its dry-park verdicts come
-     * from the board, so without publication the threaded engine's
-     * tuner would silently freeze at the neutral prior while the
-     * simulator (whose board is always exact) kept tuning, the exact
-     * cross-engine divergence this layer exists to prevent. */
-    bool
-    boardPublishing() const
-    {
-        return boardParking() || boardPushTargeting()
-               || parkTuning == ParkTuning::Ewma;
-    }
-    /// @}
-
     /**
      * The paper-literal baseline: Figure 2/Figure 5 semantics with the
-     * PR 0-3 wake/receiver protocols (periodic timer parking, blind
-     * random PUSHBACK receivers). Ablation baselines and the
-     * paper-faithful SimConfig factories request these explicitly so
-     * the Board defaults above never leak into a "paper" row.
+     * paper's blind random PUSHBACK receivers. Ablation baselines and
+     * the paper-faithful SimConfig factories request it explicitly so
+     * the Board receiver default above never leaks into a "paper" row.
      */
     static SchedPolicy
     paperBaseline()
     {
         SchedPolicy p;
-        p.parkPolicy = ParkPolicy::Timer;
         p.pushTarget = PushTarget::Random;
         return p;
     }

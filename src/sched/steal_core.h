@@ -61,16 +61,8 @@ struct StealAction
     bool checkMailboxFirst = false;
 };
 
-/** What a work-publishing engine should do about sleepers. */
-enum class WakeDirective : uint8_t
-{
-    None,           ///< board parking, no socket edge: nobody to wake
-    TargetedSocket, ///< board parking, 0 -> nonzero edge: wake that socket
-    Global,         ///< timer parking: every publish notifies globally
-};
-
 /**
- * EWMA-derived parking constants (ParkTuning::Ewma), one per worker.
+ * EWMA-derived parking constants, one per worker.
  *
  * One signal drives both knobs: the *dry-park rate* — the EWMA of park
  * episodes that bought nothing (woken onto a still-dry board, or timed
@@ -78,8 +70,7 @@ enum class WakeDirective : uint8_t
  * wants more spin (the work would have arrived within the spin budget)
  * and a short fallback; a machine idling through parks wants the
  * opposite — park sooner, sleep longer. Both scales sit exactly at the
- * configured constants at the neutral prior 0.5, so Fixed and Ewma
- * start out identical:
+ * configured constants at the neutral prior 0.5:
  *
  *   spinBudget    = clamp(2 * base * (1 - dryRate), max(1, base/4), 2*base)
  *   timeoutScale  = clamp(1 + 7 * (dryRate - 0.5), 0.5, 4.0)
@@ -92,19 +83,15 @@ class ParkTuner
   public:
     ParkTuner() = default;
 
-    ParkTuner(ParkTuning kind, int base_spin)
-        : _kind(kind), _baseSpin(base_spin > 0 ? base_spin : 1)
+    explicit ParkTuner(int base_spin)
+        : _baseSpin(base_spin > 0 ? base_spin : 1)
     {}
-
-    ParkTuning kind() const { return _kind; }
 
     /** A park episode ended; @p found_work == the wake-time probe saw
      * stealable work (productive park). */
     void
     observe(bool found_work)
     {
-        if (_kind != ParkTuning::Ewma)
-            return;
         _dryRate = (1.0 - kAlpha) * _dryRate
                    + kAlpha * (found_work ? 0.0 : 1.0);
     }
@@ -113,20 +100,16 @@ class ParkTuner
     double
     timeoutScale() const
     {
-        if (_kind != ParkTuning::Ewma)
-            return 1.0;
         // Steep enough that the clamps genuinely bind at sustained
         // evidence (the EWMA approaches but never reaches 0 or 1).
         const double s = 1.0 + 7.0 * (_dryRate - 0.5);
         return s < 0.5 ? 0.5 : (s > 4.0 ? 4.0 : s);
     }
 
-    /** Fruitless-step budget before parking; the base when Fixed. */
+    /** Fruitless-step budget before parking. */
     int
     spinBudget() const
     {
-        if (_kind != ParkTuning::Ewma)
-            return _baseSpin;
         const int lo = _baseSpin / 4 > 0 ? _baseSpin / 4 : 1;
         const int hi = 2 * _baseSpin;
         const int b = static_cast<int>(2.0 * _baseSpin * (1.0 - _dryRate)
@@ -140,9 +123,8 @@ class ParkTuner
   private:
     static constexpr double kAlpha = 0.25;
 
-    ParkTuning _kind = ParkTuning::Fixed;
     int _baseSpin = 1;
-    double _dryRate = 0.5; ///< neutral prior: Ewma starts at Fixed
+    double _dryRate = 0.5; ///< neutral prior: the configured constants
 };
 
 /** Decision counters the core maintains; engines fold them into their
@@ -190,7 +172,6 @@ class AtomicYieldFlag
  * Call protocol, per the drivers in runtime/worker.cc and
  * sim/scheduler.cc:
  *  - steal path: a = nextAction(); execute it.
- *  - publish path: onPublishEdge(socket_edge) says whom to wake.
  *  - PUSHBACK: per attempt, compare the frame's push count against
  *    pushThreshold(), pick a receiver with pickPushReceiver().
  *  - parking: noteFruitless() per fruitless step, noteProgress() when
@@ -211,7 +192,7 @@ class StealCore
           _self(self),
           _socket(socket),
           _rng(seed),
-          _tuner(policy.parkTuning, policy.parkSpinFailures)
+          _tuner(policy.parkSpinFailures)
     {}
 
     const SchedPolicy &policy() const { return _policy; }
@@ -221,20 +202,6 @@ class StealCore
     /** @name Steal path */
     /// @{
     StealAction nextAction();
-    /// @}
-
-    /** @name Publish-edge wake protocol */
-    /// @{
-    /** The caller just published work; @p socket_edge == the publish
-     * flipped its socket's combined occupancy 0 -> nonzero. */
-    WakeDirective
-    onPublishEdge(bool socket_edge) const
-    {
-        if (_policy.boardParking())
-            return socket_edge ? WakeDirective::TargetedSocket
-                               : WakeDirective::None;
-        return WakeDirective::Global;
-    }
     /// @}
 
     /** @name PUSHBACK (lazy work pushing) */
@@ -279,14 +246,12 @@ class StealCore
         return r;
     }
 
-    /** Park timeout for the next episode, microseconds (policy base
-     * for the active ParkPolicy, scaled by the tuner). */
+    /** Park timeout for the next episode, microseconds: the policy's
+     * fallback scaled by the tuner. */
     double
     parkTimeoutUs() const
     {
-        const int base = _policy.boardParking() ? _policy.parkFallbackUs
-                                                : _policy.parkTimerUs;
-        return base * _tuner.timeoutScale();
+        return _policy.parkFallbackUs * _tuner.timeoutScale();
     }
 
     /** A park episode ended. @p found_work: the wake-time check saw

@@ -6,6 +6,7 @@
 #include <queue>
 
 #include "deque/mailbox.h"
+#include "sched/admission.h"
 #include "sched/interference_core.h"
 #include "sched/shed_core.h"
 #include "sim/serving.h"
@@ -255,8 +256,8 @@ class Simulation
     /** @name Parking model (active when SimConfig::modelParking)
      * Mirrors Runtime::idleWait/ParkingLot: a core parks after a run of
      * fruitless probes (the StealCore's spin budget) and wakes on a
-     * timer or on a targeted socket-occupancy edge plus a fallback
-     * timeout per the policy, paying boardCheckCost per wakeup check.
+     * targeted socket-occupancy edge or its fallback timeout, paying
+     * boardCheckCost per wakeup check.
      * Streak tracking, budgets, and timeouts come from the per-core
      * StealCore (possibly EWMA-tuned); this block owns only the event
      * mechanics. */
@@ -291,13 +292,13 @@ class Simulation
         _cores[core].brain.noteFruitless();
     }
 
-    /** A socket occupancy word went 0 -> nonzero: under board parking,
-     * wake the cores parked on that socket wakeLatencyCycles after the
-     * publish (sooner than their scheduled fallback only). */
+    /** A socket occupancy word went 0 -> nonzero: wake the cores
+     * parked on that socket wakeLatencyCycles after the publish (sooner
+     * than their scheduled fallback only). */
     void
     maybeWakeSocket(int socket, int actor)
     {
-        if (!parkingModeled() || !_cfg.sched.boardParking())
+        if (!parkingModeled())
             return;
         const double at =
             _cores[actor].clock + _cfg.wakeLatencyCycles;
@@ -564,12 +565,11 @@ class Simulation
     }
 
     /** Admit job @p j at its arrival instant: lane it by class and,
-     * under board parking, issue the targeted socket wake
-     * Runtime::notifyAdmission issues — the hinted socket when the
-     * root carries a concrete place, else round-robin. Since PR 7 the
-     * admission edge is also where the overload layer acts, in the
-     * same order as Runtime::submit/enqueueJob: capacity check first
-     * (reject at the arrival instant, never laned), then one
+     * when parking is modeled, issue the admission wake
+     * (admissionWakeSocket, shared with Runtime::enqueueJob). Since
+     * PR 7 the admission edge is also where the overload layer acts,
+     * in the same order as Runtime::submit/enqueueJob: capacity check
+     * first (reject at the arrival instant, never laned), then one
      * QueueDelay shed from the lowest nonempty lane while the
      * claim-delay EWMA sits above target and a standing queue
      * exists. */
@@ -629,38 +629,15 @@ class Simulation
             if (victim >= 0)
                 _cores[victim].brain.requestYield();
         }
-        if (!parkingModeled() || !_cfg.sched.boardParking())
-            return; // timer parking relies on its fallback, as the runtime
-        const double at = job.arrivalCycles + _cfg.wakeLatencyCycles;
-        // Shed-aware elastic unpark: standing pressure means the pool is
-        // underprovisioned *now*, so escalate the targeted admission
-        // wake to every parked core (Runtime::enqueueJob's notifyWork
-        // escalation), paying wake latency before the shed threshold
-        // crosses instead of after.
-        if (_shed.unparkPressure()) {
-            for (int w = 0; w < _numCores; ++w) {
-                CoreState &c = _cores[w];
-                if (c.parked && at < c.nextWakeAt) {
-                    c.boardWakePending = true;
-                    schedule(w, at);
-                }
-            }
+        if (!parkingModeled())
             return;
-        }
-        const int sockets = _machine.numSockets();
-        const Place p = _dag.frame(job.root).place;
-        int socket;
-        if (isConcretePlace(p) && p < sockets) {
-            socket = p;
-        } else {
-            socket = static_cast<int>(_admitCursor++
-                                      % static_cast<uint32_t>(sockets));
-        }
-        // Steer the admission wake off a pressured socket (identity
-        // when adaptation is off or the socket is calm), mirroring
-        // Runtime::notifyAdmission.
-        socket = _interference.steerSocket(socket);
-        const auto [first, last] = coresOfSocket(socket);
+        const double at = job.arrivalCycles + _cfg.wakeLatencyCycles;
+        const int socket = admissionWakeSocket(
+            _shed, _interference, _dag.frame(job.root).place,
+            _machine.numSockets(), [this] { return _admitCursor++; });
+        const auto [first, last] = socket == kWakeAllSockets
+                                       ? std::make_pair(0, _numCores)
+                                       : coresOfSocket(socket);
         for (int w = first; w < last; ++w) {
             CoreState &c = _cores[w];
             if (c.parked && at < c.nextWakeAt) {
@@ -1144,12 +1121,9 @@ Simulation::run()
             c.brain.noteProgress();
         if (c.brain.takeParkRequest()) {
             // Mirror Runtime::idleWait's registered-then-check: the
-            // board-policy park predicate sees published work and
-            // returns without sleeping (the timer path has no such
-            // predicate — it sleeps regardless, as the runtime does).
-            if (_cfg.sched.boardParking()
-                && (_board.anyWorkFor(socketOf(ev.core))
-                    || jobsPending())) {
+            // park predicate sees published work and returns without
+            // sleeping.
+            if (_board.anyWorkFor(socketOf(ev.core)) || jobsPending()) {
                 schedule(ev.core, c.clock);
             } else {
                 c.parked = true;

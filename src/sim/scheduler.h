@@ -66,10 +66,10 @@ struct SimConfig
      * keeping every pre-existing configuration's event sequence
      * byte-identical. When on, a core parks after
      * sched.parkSpinFailures consecutive fruitless probes (failed
-     * steals) and wakes per sched.parkPolicy —
-     * timer period or board edge + fallback, sched.parkTimerUs /
-     * sched.parkFallbackUs converted to cycles at the machine's clock —
-     * paying boardCheckCost per wakeup check.
+     * steals, the budget EWMA-tuned like the runtime's) and wakes on a
+     * socket occupancy edge or its sched.parkFallbackUs fallback
+     * (converted to cycles at the machine's clock), paying
+     * boardCheckCost per wakeup check.
      */
     bool modelParking = false;
     double wakeLatencyCycles = 4400.0; ///< ~2us: futex wake + sched-in
@@ -112,9 +112,9 @@ struct SimConfig
     uint64_t seed = 0x5eed;
 
     /** Classic work stealing as implemented by Cilk Plus (Figure 2).
-     * Paper-literal baseline: requests the pre-board wake/receiver
-     * protocols explicitly (SchedPolicy::paperBaseline), so the PR 4
-     * Board defaults never leak into a "paper" row. */
+     * Paper-literal baseline: requests the paper's blind PUSHBACK
+     * receivers explicitly (SchedPolicy::paperBaseline), so the Board
+     * receiver default never leaks into a "paper" row. */
     static SimConfig
     classicWs()
     {
@@ -125,11 +125,11 @@ struct SimConfig
         return c;
     }
 
-    /** The full NUMA-WS scheduler (Figure 5), paper-literal (timer
-     * parking, blind random PUSHBACK receivers — see classicWs). A
-     * value-initialized SimConfig{} runs the same steal path on the
-     * shipped SchedPolicy defaults (board parking and PUSHBACK
-     * targeting, EWMA park tuning): the threaded engine's configuration. */
+    /** The full NUMA-WS scheduler (Figure 5), paper-literal (blind
+     * random PUSHBACK receivers — see classicWs). A value-initialized
+     * SimConfig{} runs the same steal path on the shipped SchedPolicy
+     * defaults (board-guided PUSHBACK receivers): the threaded
+     * engine's configuration. */
     static SimConfig
     numaWs()
     {

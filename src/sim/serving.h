@@ -10,9 +10,10 @@
  * lanes (best *effective* class first, mirroring JobQueue plus
  * ShedCore's priority aging; strict nominal order when aging is off)
  * before probing victims, and under the parking model an admission
- * issues the same targeted socket wake Runtime::notifyAdmission does —
- * escalated to every parked core while ShedCore::unparkPressure()
- * stands, and backed by the same Spawn-boundary preemption directive
+ * issues the same wake Runtime::enqueueJob does (admissionWakeSocket
+ * in sched/admission.h: one targeted socket, escalated to every parked
+ * core while ShedCore::unparkPressure() stands), backed by the same
+ * Spawn-boundary preemption directive
  * Runtime::enqueueJob raises when ServingPolicy::preempt is on.
  *
  * Arrivals are generated up front from a seeded process (Poisson or

@@ -102,19 +102,24 @@ TEST(MailboxBoard, PublishesOccupancyTransitions)
     OccupancyBoard board(2, {0, 0});
     Mailbox<Frame> m(2);
     m.attachBoard(&board, 1);
+    const auto occupied = [&board](int w) {
+        return (board.mailboxBits(0) & board.workerMask(w)) != 0;
+    };
     Frame a{1}, b{2};
-    EXPECT_FALSE(board.mailboxOccupied(1));
+    EXPECT_FALSE(occupied(1));
     m.tryPut(&a);
-    EXPECT_TRUE(board.mailboxOccupied(1));
+    EXPECT_TRUE(occupied(1));
+    EXPECT_TRUE(board.anyWorkFor(0));
     m.tryPut(&b);
-    EXPECT_TRUE(board.mailboxOccupied(1));
+    EXPECT_TRUE(occupied(1));
     m.tryTake();
     // One frame still parked: the bit stays up...
-    EXPECT_TRUE(board.mailboxOccupied(1));
+    EXPECT_TRUE(occupied(1));
     m.tryTake();
     // ...and clears when the last one leaves.
-    EXPECT_FALSE(board.mailboxOccupied(1));
-    EXPECT_FALSE(board.mailboxOccupied(0)); // neighbor untouched
+    EXPECT_FALSE(occupied(1));
+    EXPECT_FALSE(occupied(0)); // neighbor untouched
+    EXPECT_FALSE(board.anyWorkFor(0));
 }
 
 /** Many producers race to deposit; consumers race to take. Every frame is

@@ -26,14 +26,49 @@ twoSockets()
     return {0, 0, 0, 0, 1, 1, 1, 1};
 }
 
+/** Socket of worker @p w under twoSockets(). The helpers below read a
+ * twoSockets() board through its raw socket bitmaps. */
+int
+socketOf(int w)
+{
+    return w / 4;
+}
+
+/** Worker @p w's deque bit. */
+bool
+dequeBit(const OccupancyBoard &b, int w)
+{
+    return (b.dequeBits(socketOf(w)) & b.workerMask(w)) != 0;
+}
+
+/** Worker @p w's mailbox bit. */
+bool
+mailboxBit(const OccupancyBoard &b, int w)
+{
+    return (b.mailboxBits(socketOf(w)) & b.workerMask(w)) != 0;
+}
+
+/** Any bit set on @p socket. */
+bool
+socketBits(const OccupancyBoard &b, int socket)
+{
+    return (b.dequeBits(socket) | b.mailboxBits(socket)) != 0;
+}
+
+/** Any bit set anywhere on the two-socket board. */
+bool
+anyBits(const OccupancyBoard &b)
+{
+    return socketBits(b, 0) || socketBits(b, 1);
+}
+
 TEST(OccupancyBoard, EmptyBoardIsInertAndDisabled)
 {
     OccupancyBoard b;
     EXPECT_FALSE(b.enabled());
     b.publishDeque(0, true);    // must not crash
     b.publishMailbox(0, true);
-    EXPECT_FALSE(b.dequeNonempty(0));
-    EXPECT_FALSE(b.anyWork());
+    EXPECT_FALSE(b.anyWorkFor(0));
 }
 
 TEST(OccupancyBoard, TransitionsSetAndClearExactly)
@@ -42,22 +77,22 @@ TEST(OccupancyBoard, TransitionsSetAndClearExactly)
     EXPECT_EQ(b.numWorkers(), 8);
     EXPECT_EQ(b.numSockets(), 2);
     for (int w = 0; w < 8; ++w) {
-        EXPECT_FALSE(b.dequeNonempty(w));
-        EXPECT_FALSE(b.mailboxOccupied(w));
+        EXPECT_FALSE(dequeBit(b, w));
+        EXPECT_FALSE(mailboxBit(b, w));
     }
-    EXPECT_FALSE(b.anyWork());
+    EXPECT_FALSE(anyBits(b));
 
     b.publishDeque(2, true);
-    EXPECT_TRUE(b.dequeNonempty(2));
-    EXPECT_TRUE(b.workerHasWork(2));
-    EXPECT_FALSE(b.mailboxOccupied(2));
-    EXPECT_TRUE(b.socketHasWork(0));
-    EXPECT_FALSE(b.socketHasWork(1));
-    EXPECT_TRUE(b.anyWork());
+    EXPECT_TRUE(dequeBit(b, 2));
+    EXPECT_FALSE(mailboxBit(b, 2));
+    EXPECT_TRUE(socketBits(b, 0));
+    EXPECT_FALSE(socketBits(b, 1));
+    EXPECT_TRUE(b.anyWorkFor(0));
+    EXPECT_TRUE(b.anyWorkFor(1));
 
     b.publishMailbox(5, true);
-    EXPECT_TRUE(b.mailboxOccupied(5));
-    EXPECT_TRUE(b.socketHasWork(1));
+    EXPECT_TRUE(mailboxBit(b, 5));
+    EXPECT_TRUE(socketBits(b, 1));
     EXPECT_EQ(b.mailboxBits(1), 1ULL << 1); // second worker on socket 1
 
     // Idempotent publishes: re-asserting a state changes nothing.
@@ -65,10 +100,12 @@ TEST(OccupancyBoard, TransitionsSetAndClearExactly)
     EXPECT_EQ(b.dequeBits(0), 1ULL << 2);
     b.publishDeque(2, false);
     b.publishDeque(2, false);
-    EXPECT_FALSE(b.dequeNonempty(2));
-    EXPECT_FALSE(b.socketHasWork(0));
+    EXPECT_FALSE(dequeBit(b, 2));
+    EXPECT_FALSE(socketBits(b, 0));
     b.publishMailbox(5, false);
-    EXPECT_FALSE(b.anyWork());
+    EXPECT_FALSE(anyBits(b));
+    EXPECT_FALSE(b.anyWorkFor(0));
+    EXPECT_FALSE(b.anyWorkFor(1));
 }
 
 TEST(OccupancyBoard, BitsAreIndependentPerWorkerAndKind)
@@ -78,7 +115,7 @@ TEST(OccupancyBoard, BitsAreIndependentPerWorkerAndKind)
         b.publishDeque(w, true);
     b.publishDeque(3, false);
     for (int w = 0; w < 8; ++w)
-        EXPECT_EQ(b.dequeNonempty(w), w != 3) << "worker " << w;
+        EXPECT_EQ(dequeBit(b, w), w != 3) << "worker " << w;
     // Mailbox bits never moved.
     EXPECT_EQ(b.mailboxBits(0), 0u);
     EXPECT_EQ(b.mailboxBits(1), 0u);
@@ -90,7 +127,7 @@ TEST(OccupancyBoard, AnyWorkForCountsMailboxOnlyOnOwnSocket)
     // A parked frame on socket 1 is earmarked for socket 1's place:
     // stealable for socket-1 thieves, churn for socket-0 thieves.
     b.publishMailbox(5, true);
-    EXPECT_TRUE(b.anyWork());
+    EXPECT_TRUE(anyBits(b));
     EXPECT_TRUE(b.anyWorkFor(1));
     EXPECT_FALSE(b.anyWorkFor(0));
     // Deque work counts for everyone.
@@ -126,6 +163,9 @@ TEST(OccupancyBoardStress, SetBitAlwaysHappensAfterADeposit)
     std::vector<Mailbox<Frame>> boxes(kWorkers);
     for (int w = 0; w < kWorkers; ++w)
         boxes[w].attachBoard(&board, w);
+    const auto occupied = [&board](int w) {
+        return (board.mailboxBits(w / 2) & board.workerMask(w)) != 0;
+    };
 
     std::atomic<bool> stop{false};
     std::atomic<uint64_t> delivered{0};
@@ -164,7 +204,7 @@ TEST(OccupancyBoardStress, SetBitAlwaysHappensAfterADeposit)
                 // worker.
                 const bool full_sweep = (++sweep & 7) == 0;
                 for (int w = 0; w < kWorkers; ++w) {
-                    if (!board.mailboxOccupied(w) && !full_sweep)
+                    if (!occupied(w) && !full_sweep)
                         continue;
                     // Bit observed with acquire: the deposit (and the
                     // payload written before it) must be visible. The
@@ -199,8 +239,8 @@ TEST(OccupancyBoardStress, SetBitAlwaysHappensAfterADeposit)
     // Quiescence: all frames consumed, every publication complete — the
     // board must now be exact (no stale false-nonempty survives).
     for (int w = 0; w < kWorkers; ++w)
-        EXPECT_FALSE(board.mailboxOccupied(w)) << "worker " << w;
-    EXPECT_FALSE(board.anyWork());
+        EXPECT_FALSE(occupied(w)) << "worker " << w;
+    EXPECT_FALSE(board.anyWorkFor(0) || board.anyWorkFor(1));
 }
 
 /**
@@ -237,9 +277,8 @@ TEST(OccupancyBoardStress, ConcurrentTogglesNeverCorruptNeighbors)
         while (!stop.load(std::memory_order_acquire)) {
             // The permanently-published bits must never flicker: masks
             // are per-worker, so neighbors' RMWs cannot clear them.
-            ASSERT_TRUE(board.dequeNonempty(0));
-            ASSERT_TRUE(board.dequeNonempty(4));
-            ASSERT_TRUE(board.anyWork());
+            ASSERT_TRUE(dequeBit(board, 0));
+            ASSERT_TRUE(dequeBit(board, 4));
             ASSERT_TRUE(board.anyWorkFor(0));
             ASSERT_TRUE(board.anyWorkFor(1));
         }

@@ -45,15 +45,6 @@ eventually(Pred pred)
 // ParkingLot
 // ---------------------------------------------------------------------
 
-TEST(ParkingLot, DisabledLotIsInert)
-{
-    ParkingLot lot;
-    EXPECT_FALSE(lot.enabled());
-    EXPECT_FALSE(lot.park(0, 10ms)); // returns immediately, no wait
-    lot.wake(0);                     // no-ops, no crash
-    lot.wakeAll();
-}
-
 TEST(ParkingLot, BoundedTimeoutLiveness)
 {
     // The core guarantee the scheduler is written against: with no wake
@@ -231,32 +222,27 @@ TEST(RuntimeParking, FibCorrectUnderEveryParkPushCombination)
 {
     const int n = 18;
     const uint64_t expected = workloads::fibSerial(n);
-    for (const ParkPolicy park : {ParkPolicy::Timer, ParkPolicy::Board}) {
-        for (const PushTarget push :
-             {PushTarget::Random, PushTarget::Board}) {
-            RuntimeOptions o;
-            o.numWorkers = 3;
-            o.numPlaces = 3;
-            o.sched.parkPolicy = park;
-            o.sched.pushTarget = push;
-            // Short fallback: the 1-core host serializes threads, so
-            // parks and timeouts genuinely occur during the run.
-            o.sched.parkFallbackUs = 200;
-            o.seed = 21;
-            Runtime rt(o);
-            EXPECT_EQ(workloads::fibParallel(rt, n, 10), expected)
-                << parkPolicyName(park) << "/" << pushTargetName(push);
-            const RuntimeStats stats = rt.stats();
-            // Every park ends at most once, by a wake or a timeout; a
-            // worker parked *right now* (post-run idle) has entered but
-            // not resolved, so the gap is bounded by the worker count.
-            const uint64_t resolved = stats.counters.parkWakes
-                                      + stats.counters.parkTimeouts;
-            EXPECT_GE(stats.counters.parks, resolved);
-            EXPECT_LE(stats.counters.parks,
-                      resolved
-                          + static_cast<uint64_t>(o.numWorkers));
-        }
+    for (const PushTarget push : {PushTarget::Random, PushTarget::Board}) {
+        RuntimeOptions o;
+        o.numWorkers = 3;
+        o.numPlaces = 3;
+        o.sched.pushTarget = push;
+        // Short fallback: the 1-core host serializes threads, so parks
+        // and timeouts genuinely occur during the run.
+        o.sched.parkFallbackUs = 200;
+        o.seed = 21;
+        Runtime rt(o);
+        EXPECT_EQ(workloads::fibParallel(rt, n, 10), expected)
+            << pushTargetName(push);
+        const RuntimeStats stats = rt.stats();
+        // Every park ends at most once, by a wake or a timeout; a
+        // worker parked *right now* (post-run idle) has entered but not
+        // resolved, so the gap is bounded by the worker count.
+        const uint64_t resolved =
+            stats.counters.parkWakes + stats.counters.parkTimeouts;
+        EXPECT_GE(stats.counters.parks, resolved);
+        EXPECT_LE(stats.counters.parks,
+                  resolved + static_cast<uint64_t>(o.numWorkers));
     }
 }
 
@@ -268,7 +254,6 @@ TEST(RuntimeParking, BoardParkingShutsDownCleanly)
     RuntimeOptions o;
     o.numWorkers = 4;
     o.numPlaces = 2;
-    o.sched.parkPolicy = ParkPolicy::Board;
     o.sched.parkFallbackUs = 50000; // long: shutdown must not wait for it
     Runtime rt(o);
     std::this_thread::sleep_for(20ms);
@@ -290,36 +275,15 @@ TEST(SimParking, ModelOffByDefaultAndInert)
     EXPECT_EQ(r.counters.spuriousWakeups, 0u);
 }
 
-TEST(SimParking, PoliciesExecuteTheSameWork)
-{
-    const sim::ComputationDag dag = workloads::fibDag(16);
-    // The Board defaults flipped in PR 4: the timer baseline must ask
-    // for the retired policy explicitly.
-    sim::SimConfig timer;
-    timer.modelParking = true;
-    timer.sched.parkSpinFailures = 4;
-    timer.sched.parkPolicy = ParkPolicy::Timer;
-    sim::SimConfig board = timer;
-    board.sched.parkPolicy = ParkPolicy::Board;
-
-    const sim::SimResult rt = sim::simulatePacked(dag, 16, timer);
-    const sim::SimResult rb = sim::simulatePacked(dag, 16, board);
-    EXPECT_EQ(rt.counters.strandsExecuted, rb.counters.strandsExecuted);
-    EXPECT_EQ(rt.counters.spawns, rb.counters.spawns);
-    // Timer wakes are never edge-targeted; board wakes may be.
-    EXPECT_EQ(rt.counters.boardWakes, 0u);
-}
-
 TEST(SimParking, BoardWakesTargetSocketsWithWork)
 {
     // An idle-heavy shape: one long serial strand, then a wide fan.
-    // Cores park during the strand; under board parking the fan's
-    // occupancy edges wake them, so spurious wakeups collapse vs the
-    // periodic timer.
+    // Cores park during the strand and the fan's occupancy edges wake
+    // them.
     sim::DagBuilder b;
     b.beginRoot();
     for (int burst = 0; burst < 4; ++burst) {
-        b.strand(2.2e6, {}); // ~5 timer periods of machine-wide idling
+        b.strand(2.2e6, {}); // ~1 ms of machine-wide idling
         for (int t = 0; t < 32; ++t)
             b.spawnLeaf(kAnyPlace, 20000.0, {});
         b.sync();
@@ -327,23 +291,13 @@ TEST(SimParking, BoardWakesTargetSocketsWithWork)
     b.end();
     const sim::ComputationDag dag = b.finish();
 
-    sim::SimConfig timer;
-    timer.modelParking = true;
-    timer.sched.parkSpinFailures = 4;
-    timer.sched.parkPolicy = ParkPolicy::Timer;
-    sim::SimConfig board = timer;
-    board.sched.parkPolicy = ParkPolicy::Board;
+    sim::SimConfig cfg;
+    cfg.modelParking = true;
+    cfg.sched.parkSpinFailures = 4;
 
-    const sim::SimResult rt = sim::simulatePacked(dag, 16, timer);
-    const sim::SimResult rb = sim::simulatePacked(dag, 16, board);
-    ASSERT_GT(rt.counters.parks, 0u);
-    ASSERT_GT(rb.counters.parks, 0u);
-    EXPECT_GT(rb.counters.boardWakes, 0u);
-    // The acceptance-gate shape, at unit-test scale: at least 2x fewer
-    // spurious wakeups, no simulated-time regression beyond 2%.
-    EXPECT_LE(2 * rb.counters.spuriousWakeups,
-              rt.counters.spuriousWakeups);
-    EXPECT_LE(rb.elapsedCycles, 1.02 * rt.elapsedCycles);
+    const sim::SimResult r = sim::simulatePacked(dag, 16, cfg);
+    ASSERT_GT(r.counters.parks, 0u);
+    EXPECT_GT(r.counters.boardWakes, 0u);
 }
 
 TEST(SimParking, DeterministicPerSeed)

@@ -205,13 +205,12 @@ replayStep(StealCore &core, MockWorld &world, bool threaded_shape,
     trace += "\n";
 }
 
-/** Every surviving non-default knob: EWMA park tuning (also the
- * default) and a small spin budget so the tuner actually runs. */
+/** The shipped policy with a small spin budget so the EWMA park tuner
+ * actually runs. */
 SchedPolicy
 fullPolicy()
 {
     SchedPolicy p;
-    p.parkTuning = ParkTuning::Ewma;
     p.parkSpinFailures = 4; // park often: exercise the tuner
     return p;
 }
@@ -266,8 +265,8 @@ TEST(EngineParity, HoldsAcrossSeedsWorkersAndPaperBaseline)
             const std::string b =
                 replay(false, fullPolicy(), self, seed, 200, nullptr);
             EXPECT_EQ(a, b) << "seed=" << seed << " self=" << self;
-            // The paper-literal baseline (flat search, timer parking,
-            // random receivers) must agree as well.
+            // The paper-literal baseline (random receivers) must
+            // agree as well.
             const SchedPolicy paper = SchedPolicy::paperBaseline();
             EXPECT_EQ(replay(true, paper, self, seed, 200, nullptr),
                       replay(false, paper, self, seed, 200, nullptr))
@@ -291,21 +290,11 @@ TEST(EngineParity, SameSeedSameTraceAcrossRuns)
 // EWMA park tuning
 // ---------------------------------------------------------------------
 
-TEST(ParkTuner, FixedIgnoresEvidence)
+TEST(ParkTuner, NeutralPriorMatchesConfiguredConstants)
 {
-    ParkTuner t(ParkTuning::Fixed, 64);
-    for (int i = 0; i < 100; ++i)
-        t.observe(/*found_work=*/false);
-    EXPECT_EQ(t.spinBudget(), 64);
-    EXPECT_DOUBLE_EQ(t.timeoutScale(), 1.0);
-}
-
-TEST(ParkTuner, NeutralPriorMatchesFixedConstants)
-{
-    // At the neutral prior the Ewma knobs equal the configured
-    // constants, so the two modes start identical and diverge only
-    // with evidence.
-    ParkTuner t(ParkTuning::Ewma, 64);
+    // At the neutral prior the tuned knobs equal the configured
+    // constants; only evidence moves them.
+    ParkTuner t(64);
     EXPECT_DOUBLE_EQ(t.dryRate(), 0.5);
     EXPECT_EQ(t.spinBudget(), 64);
     EXPECT_DOUBLE_EQ(t.timeoutScale(), 1.0);
@@ -313,7 +302,7 @@ TEST(ParkTuner, NeutralPriorMatchesFixedConstants)
 
 TEST(ParkTuner, ProductiveParksRaiseSpinAndShortenTimeouts)
 {
-    ParkTuner t(ParkTuning::Ewma, 64);
+    ParkTuner t(64);
     for (int i = 0; i < 64; ++i)
         t.observe(/*found_work=*/true);
     EXPECT_LT(t.dryRate(), 0.01);
@@ -323,7 +312,7 @@ TEST(ParkTuner, ProductiveParksRaiseSpinAndShortenTimeouts)
 
 TEST(ParkTuner, DryParksCutSpinAndStretchTimeouts)
 {
-    ParkTuner t(ParkTuning::Ewma, 64);
+    ParkTuner t(64);
     for (int i = 0; i < 64; ++i)
         t.observe(/*found_work=*/false);
     EXPECT_GT(t.dryRate(), 0.99);
@@ -333,7 +322,7 @@ TEST(ParkTuner, DryParksCutSpinAndStretchTimeouts)
 
 TEST(ParkTuner, BudgetNeverLeavesItsClamps)
 {
-    ParkTuner t(ParkTuning::Ewma, 2);
+    ParkTuner t(2);
     Rng rng(7);
     for (int i = 0; i < 1000; ++i) {
         t.observe(rng.flip());
@@ -347,8 +336,6 @@ TEST(ParkTuner, BudgetNeverLeavesItsClamps)
 TEST(StealCorePark, EwmaTuningMovesTheCoreTimeout)
 {
     SchedPolicy p;
-    p.parkTuning = ParkTuning::Ewma;
-    ASSERT_TRUE(p.boardParking()); // PR 4 default
     const Machine machine = Machine::paperMachineSubset(8);
     StealDistribution dist(machine, 8, p.biasWeights);
     OccupancyBoard board(8, dist.workerSockets());
@@ -383,37 +370,6 @@ TEST(StealCorePark, SpinBudgetGovernsParkRequests)
     core.noteFruitless();
     core.noteFruitless();
     EXPECT_FALSE(core.takeParkRequest());
-}
-
-TEST(StealCorePark, TimerPolicyUsesTheTimerPeriod)
-{
-    SchedPolicy p = SchedPolicy::paperBaseline();
-    ASSERT_FALSE(p.boardParking());
-    const Machine machine = Machine::paperMachineSubset(8);
-    StealDistribution dist(machine, 8, p.biasWeights);
-    OccupancyBoard board(8, dist.workerSockets());
-    StealCore core(p, EngineView{&dist, &board}, 0, 0, 1);
-    EXPECT_DOUBLE_EQ(core.parkTimeoutUs(), p.parkTimerUs);
-}
-
-// ---------------------------------------------------------------------
-// Publish-edge wake directives (the third engine touchpoint)
-// ---------------------------------------------------------------------
-
-TEST(StealCoreWake, DirectivesFollowTheParkPolicy)
-{
-    const Machine machine = Machine::paperMachineSubset(8);
-    SchedPolicy board_park; // PR 4 default: board parking
-    StealDistribution dist(machine, 8, board_park.biasWeights);
-    OccupancyBoard board(8, dist.workerSockets());
-    StealCore b(board_park, EngineView{&dist, &board}, 0, 0, 1);
-    EXPECT_EQ(b.onPublishEdge(true), WakeDirective::TargetedSocket);
-    EXPECT_EQ(b.onPublishEdge(false), WakeDirective::None);
-
-    StealCore t(SchedPolicy::paperBaseline(), EngineView{&dist, &board},
-                0, 0, 1);
-    EXPECT_EQ(t.onPublishEdge(true), WakeDirective::Global);
-    EXPECT_EQ(t.onPublishEdge(false), WakeDirective::Global);
 }
 
 } // namespace
