@@ -13,11 +13,14 @@
  * --warmup warm-up repetitions (the warm-up fills the pool's free
  * lists, so the measured reps see the steady state the pool is built
  * for). Heap and pooled repetitions interleave so host noise drifts
- * into both sides equally. A 2-worker pooled row rides along,
- * measured only, to show the remote-free path (thieves freeing into
- * the spawner's pool) under real contention; its timing is scheduling
- * luck on small hosts, so it carries no elapsed_s for the trajectory
- * gate to latch onto.
+ * into both sides equally. A pooled+deadline row (the same loop in a
+ * job with a far-off deadline) interleaves with them too: it prices
+ * the spawn boundary's deadline check, which reads the clock only on
+ * every Worker::kDeadlineCheckPeriod-th spawn. A 2-worker pooled row
+ * rides along, measured only, to show the remote-free path (thieves
+ * freeing into the spawner's pool) under real contention; its timing
+ * is scheduling luck on small hosts, so it carries no elapsed_s for
+ * the trajectory gate to latch onto.
  *
  * Statistics: every comparison — the gate here and the elapsed_s the
  * CI trajectory tracks — uses the per-rep *minimum*, the standard
@@ -54,16 +57,22 @@ plainNop()
     asm volatile("");
 }
 
+/** One job of @p spawns empty children and a sync. @p opts carries
+ * the pooled+deadline row's far-off deadline (run(fn) is exactly
+ * submit(fn).wait(), so the default is the plain spawn+sync rep). */
 double
-spawnSyncRep(Runtime &rt, int spawns)
+spawnSyncRep(Runtime &rt, int spawns, JobOptions opts = {})
 {
     WallTimer t;
-    rt.run([&] {
-        TaskGroup tg;
-        for (int i = 0; i < spawns; ++i)
-            tg.spawn([] { plainNop(); });
-        tg.sync();
-    });
+    rt.submit(
+          [&] {
+              TaskGroup tg;
+              for (int i = 0; i < spawns; ++i)
+                  tg.spawn([] { plainNop(); });
+              tg.sync();
+          },
+          opts)
+        .wait();
     return t.seconds();
 }
 
@@ -222,26 +231,40 @@ main(int argc, char **argv)
     // neighbor, a frequency step) hit both means instead of one.
     Runtime rt_heap(optionsFor(1, TaskPoolPolicy::Heap));
     Runtime rt_pool(optionsFor(1, TaskPoolPolicy::Pooled));
+    Runtime rt_deadline(optionsFor(1, TaskPoolPolicy::Pooled));
+    // A deadline that never fires: every spawn takes the deadline
+    // branch of the cancellation check.
+    JobOptions far_deadline;
+    far_deadline.deadlineNs = int64_t{3600} * 1'000'000'000; // one hour
     for (int i = 0; i < warmup; ++i) {
         spawnSyncRep(rt_heap, spawns);
         spawnSyncRep(rt_pool, spawns);
+        spawnSyncRep(rt_deadline, spawns, far_deadline);
     }
     rt_heap.resetStats();
     rt_pool.resetStats();
-    Measured heap, pooled;
-    std::vector<double> heap_seconds, pool_seconds;
+    rt_deadline.resetStats();
+    Measured heap, pooled, deadline;
+    std::vector<double> heap_seconds, pool_seconds, deadline_seconds;
     for (int i = 0; i < reps; ++i) {
         heap_seconds.push_back(spawnSyncRep(rt_heap, spawns));
         pool_seconds.push_back(spawnSyncRep(rt_pool, spawns));
+        deadline_seconds.push_back(
+            spawnSyncRep(rt_deadline, spawns, far_deadline));
     }
     heap.finish(heap_seconds);
     pooled.finish(pool_seconds);
+    deadline.finish(deadline_seconds);
     heap.stats = rt_heap.stats();
     pooled.stats = rt_pool.stats();
+    deadline.stats = rt_deadline.stats();
     report.addRow(spawnRow("spawn+sync", TaskPoolPolicy::Heap, 1, spawns,
                            reps, heap, /*with_elapsed=*/true));
     report.addRow(spawnRow("spawn+sync", TaskPoolPolicy::Pooled, 1,
                            spawns, reps, pooled, /*with_elapsed=*/true));
+    report.addRow(spawnRow("spawn+sync+deadline", TaskPoolPolicy::Pooled,
+                           1, spawns, reps, deadline,
+                           /*with_elapsed=*/true));
 
     // Remote-free visibility row: 2 workers, thieves steal from the
     // spawner and free stolen frames back across the pool boundary.
@@ -270,6 +293,8 @@ main(int argc, char **argv)
                 recycle_rate,
                 static_cast<unsigned long long>(
                     pooled.stats.counters.slabBytes >> 10));
+    std::printf("  pooled+deadline %8.1f / %8.1f ns/spawn\n",
+                deadline.nsPer(spawns), deadline.minNsPer(spawns));
     std::printf("  pooled(2w)      %8.1f ns/spawn   remoteFrees %llu  "
                 "steals %llu\n",
                 two.nsPer(spawns),

@@ -159,7 +159,8 @@ struct JobCancelled : std::exception
 
 /** Has @p s been asked to stop — cancel requested, or deadline passed?
  * One relaxed load for deadline-free jobs; deadline'd jobs pay a clock
- * read per check (spawn/sync boundaries, not the steal path). */
+ * read per check (sync boundaries and CancelToken polls; the spawn
+ * boundary amortizes the clock read, Worker::spawnInterrupted). */
 inline bool
 jobInterrupted(const JobState &s)
 {

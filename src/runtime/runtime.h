@@ -128,17 +128,6 @@ struct RuntimeOptions
     uint64_t seed = 0x5eed;
     /** Deque capacity (spawn depth bound). */
     std::size_t dequeCapacity = 1 << 16;
-    /**
-     * Sampled work/scheduling/idle accounting: read the clock around
-     * 1-in-2^N executed tasks instead of every one (0 == sample every
-     * task, the exact mode). Unsampled tasks are counted and their
-     * work is estimated from the last sampled task's duration at the
-     * next clock read, so bucket *totals* still sum to wall time; the
-     * split converges to the exact one for homogeneous tasks (the
-     * fine-grained regime where the two nowNs() calls — ~40ns/task —
-     * are worth cutting).
-     */
-    int timeSplitSampleShift = 0;
     /** Teardown policy for jobs still queued when the Runtime is
      * destroyed (see ShutdownPolicy). */
     ShutdownPolicy shutdownPolicy = ShutdownPolicy::Drain;
@@ -264,6 +253,18 @@ struct RuntimeStats
  * the group have completed, helping to execute work while waiting (first
  * its own deque — descendants only — then stealing, so a blocked worker is
  * never idle while work exists). Groups nest arbitrarily.
+ *
+ * A group belongs to the task body that declares it: spawn(), sync()
+ * and pending() must all be called from that body (never from one of
+ * its children). A task body never migrates, so spawner and syncer are
+ * the same worker, and the join counter exploits it in the style of
+ * Cilk's THE protocol: the owner counts spawns and the completions of
+ * children it ran itself in plain integers; only a child that left the
+ * worker (TaskBase::stolen) pays an atomic release increment. An
+ * unstolen child cannot run anywhere else — popTail is owner-only and
+ * every frame reaching a mailbox was marked stolen by the thief that
+ * pushed it — so a spawn+sync whose children never left the worker
+ * performs no atomic read-modify-write on the group at all.
  */
 class TaskGroup
 {
@@ -298,21 +299,43 @@ class TaskGroup
     /** Wait for all spawned tasks, then rethrow the first exception. */
     void sync();
 
-    /** Outstanding children (test/diagnostic hook). */
-    int64_t pending() const
+    /**
+     * Outstanding children. Owner-only: call it from the task body that
+     * owns the group (the plain counters are not visible to other
+     * threads). Zero means every child has finished, and its writes —
+     * a recorded exception included — happen-before the call: local
+     * children ran on this thread, and the acquire load pairs with each
+     * stolen child's release increment.
+     */
+    int64_t
+    pending() const
     {
-        return _pending.load(std::memory_order_acquire);
+        return _spawned - _doneLocal
+               - _doneStolen.load(std::memory_order_acquire);
     }
 
     /** @name Runtime-internal */
     /// @{
-    void onChildStart() { _pending.fetch_add(1, std::memory_order_relaxed); }
-    void onChildDone() { _pending.fetch_sub(1, std::memory_order_release); }
+    void onChildStart() { ++_spawned; }
+    /** A child finished; @p stolen is its TaskBase::stolen(). */
+    void
+    onChildDone(bool stolen)
+    {
+        if (stolen)
+            _doneStolen.fetch_add(1, std::memory_order_release);
+        else
+            ++_doneLocal;
+    }
     void recordException(std::exception_ptr e);
     /// @}
 
   private:
-    std::atomic<int64_t> _pending{0};
+    int64_t _spawned = 0;   ///< owner-written
+    int64_t _doneLocal = 0; ///< owner-written: children run on the owner
+    /** Children that ran elsewhere (stolen or mailbox-routed). */
+    std::atomic<int64_t> _doneStolen{0};
+    /** Guards _exception against concurrently throwing stolen
+     * children; sync() reads it unlocked once pending() is zero. */
     SpinLock _exceptionLock;
     std::exception_ptr _exception;
 };
@@ -345,6 +368,34 @@ class Worker
      * spawn/sync boundaries and currentCancelToken their cancellation
      * view. */
     JobState *currentJob() const { return _currentJob; }
+
+    /** The spawn boundary's cancellation check on @p job: the cancel
+     * flag on every spawn, but the deadline clock only on every
+     * kDeadlineCheckPeriod-th spawn of this worker — a nowNs() per
+     * spawn would cost more than the spawn itself. sync() still checks
+     * both every time (jobInterrupted). */
+    bool
+    spawnInterrupted(const JobState &job)
+    {
+        if (job.cancelRequested.load(std::memory_order_relaxed))
+            return true;
+        if (job.deadlineAtNs == 0
+            || (++_deadlineTick & (kDeadlineCheckPeriod - 1)) != 0)
+            return false;
+        return nowNs() > job.deadlineAtNs;
+    }
+    static constexpr uint32_t kDeadlineCheckPeriod = 64;
+
+    /** Close the open time-split segment at @p now_ns (a timestamp the
+     * caller already read) without changing bucket: Runtime::finishJob
+     * flushes the job's last Work segment before publishing done, so
+     * stats() read right after run() includes it. */
+    void
+    chargeOpenSegment(int64_t now_ns)
+    {
+        _time.add(_bucket, now_ns - _mark);
+        _mark = now_ns;
+    }
 
     /** @name Cooperative preemption (ServingPolicy::preempt) */
     /// @{
@@ -529,6 +580,10 @@ class Worker
 
   private:
     TaskBase *acquireLocal();
+    /** The dry path, once local work (and, where the caller claims
+     * jobs, the job queue) came up empty: enter Idle, then make one
+     * steal attempt while any job is active. */
+    TaskBase *stealWhenDry();
 
     /** Epoch-cadence pressure sampling on the scheduling path: close
      * the epoch when due, publish to the PressureBoard, and (place
@@ -544,37 +599,19 @@ class Worker
      * sequence of segments, each attributed to exactly one bucket; nested
      * helping merely switches buckets, so nothing is double counted.
      *
-     * Sampled mode (RuntimeOptions::timeSplitSampleShift > 0): tasks
-     * executed without a clock read accumulate in _unsampledTasks; the
-     * next switch estimates their work as unsampled-count times the
-     * last sampled task's duration, clamped to the elapsed segment, and
-     * charges the remainder to the segment's nominal bucket — totals
-     * stay exactly wall time, only the split is approximated.
+     * The split is exact and lazy: the clock is read only when the
+     * bucket actually changes (and at job finish, chargeOpenSegment).
+     * A task run from inside another task — the own-deque drain of a
+     * sync — is already in Work and reads nothing, so the work path
+     * pays no clock reads.
      */
     void
-    switchBucket(TimeSplit::Bucket b)
+    enterBucket(TimeSplit::Bucket b)
     {
+        if (b == _bucket)
+            return;
         const int64_t t = nowNs();
-        int64_t elapsed = t - _mark;
-        if (_unsampledTasks > 0) {
-            // Mean over *all* sampled tasks, not the most recent one:
-            // task sizes are bimodal (tiny interior spawns, fat leaves)
-            // and a last-sample estimator collapses whenever the last
-            // sample happened to be an interior task, leaking leaf work
-            // into the enclosing Scheduling/Idle segment. Before the
-            // first sample completes (count == 0) the prior is that a
-            // segment known to contain task executions was all work.
-            int64_t est = elapsed;
-            if (_sampledTaskCount > 0)
-                est = (_sampledWorkNs / _sampledTaskCount)
-                    * _unsampledTasks;
-            if (est > elapsed)
-                est = elapsed;
-            _time.add(TimeSplit::Work, est);
-            elapsed -= est;
-            _unsampledTasks = 0;
-        }
-        _time.add(_bucket, elapsed);
+        _time.add(_bucket, t - _mark);
         _mark = t;
         _bucket = b;
     }
@@ -653,6 +690,8 @@ class Worker
     /** @name Watchdog liveness state (RuntimeOptions::watchdogMs) */
     /// @{
     std::atomic<bool> _parkedNow{false};
+    /** Single writer (this worker): bumped with a relaxed load+store,
+     * not an RMW; only the watchdog reads it from elsewhere. */
     std::atomic<uint64_t> _progressStamp{0};
     /// @}
     /** Per-class serving latency of jobs that completed here; folded
@@ -662,14 +701,8 @@ class Worker
     TimeSplit _time;
     TimeSplit::Bucket _bucket = TimeSplit::Idle;
     int64_t _mark = 0;
-    /** @name Sampled time-split state (timeSplitSampleShift) */
-    /// @{
-    uint32_t _sampleMask = 0; ///< 2^shift - 1; 0 samples every task
-    uint32_t _sampleCtr = 0;
-    int64_t _unsampledTasks = 0;
-    int64_t _sampledWorkNs = 0;   ///< summed work of sampled tasks
-    int64_t _sampledTaskCount = 0;
-    /// @}
+    /** Deadline'd-job spawns seen (spawnInterrupted's cadence). */
+    uint32_t _deadlineTick = 0;
 };
 
 /**
@@ -943,12 +976,13 @@ TaskGroup::spawn(F &&fn, Place place, const void *data,
 {
     Worker *w = Worker::current();
     NUMAWS_ASSERT(w != nullptr); // spawn only from inside run()
-    // Cooperative cancellation boundary: a cancelled or past-deadline
-    // job stops growing its tree here, and the JobCancelled unwind
-    // rides the normal exception plumbing (recordException + sync
-    // rethrow) up to the job root without preempting anything.
+    // Cooperative cancellation boundary: a cancelled job stops growing
+    // its tree here (a past-deadline one within kDeadlineCheckPeriod
+    // spawns of this worker), and the JobCancelled unwind rides the
+    // normal exception plumbing (recordException + sync rethrow) up to
+    // the job root without preempting anything.
     if (JobState *job = w->currentJob();
-        job != nullptr && jobInterrupted(*job))
+        job != nullptr && w->spawnInterrupted(*job))
         throw JobCancelled{};
     if (place == kInheritPlace)
         place = w->currentHint();

@@ -458,6 +458,12 @@ void
 Runtime::finishJob(JobState &state, JobOutcome outcome)
 {
     const int64_t t = nowNs();
+    Worker *w = Worker::current();
+    NUMAWS_ASSERT(w != nullptr); // job roots execute on workers only
+    // Charge the root's open Work segment up to this timestamp before
+    // done is published, so stats() read right after run() includes
+    // the job's last segment without another clock read.
+    w->chargeOpenSegment(t);
     state.finishNs.store(t, std::memory_order_relaxed);
     // Deterministic late-finish expiry: a body that ran past its
     // deadline without hitting a cancellation boundary still resolves
@@ -466,8 +472,6 @@ Runtime::finishJob(JobState &state, JobOutcome outcome)
     if (outcome == JobOutcome::Done && state.deadlineAtNs != 0
         && t > state.deadlineAtNs)
         outcome = JobOutcome::Expired;
-    Worker *w = Worker::current();
-    NUMAWS_ASSERT(w != nullptr); // job roots execute on workers only
     // Latency percentiles describe served work: only jobs that ran to
     // completion (Done/Failed) are recorded.
     if (outcome == JobOutcome::Done || outcome == JobOutcome::Failed)

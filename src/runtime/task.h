@@ -9,13 +9,15 @@
  * task object, pushes it on the deque, and the parent continues. Every
  * NUMA-WS *mechanism* is retained at task granularity: the place hint with
  * inheritance, the stolen flag (the shadow-frame -> full-frame promotion
- * analogue), and the pushback counter that enforces the constant pushing
- * threshold. Task granularity is also what makes the serving mode's
- * cooperative controls possible in a library: spawn/sync boundaries are
- * the points where a running job observes cancellation and where a
- * raised yield directive preempts it in favor of a higher-class job
- * (runtime.h's TaskGroup::spawn, worker.cc's serviceYield). The
- * simulator (src/sim) models true continuation stealing.
+ * analogue, which like Cilk's promotion is the only point where a join
+ * starts paying for synchronization), and the pushback counter that
+ * enforces the constant pushing threshold. Task granularity is also what
+ * makes the serving mode's cooperative controls possible in a library:
+ * spawn/sync boundaries are the points where a running job observes
+ * cancellation and where a raised yield directive preempts it in favor
+ * of a higher-class job (runtime.h's TaskGroup::spawn, worker.cc's
+ * serviceYield). The simulator (src/sim) models true continuation
+ * stealing.
  */
 #ifndef NUMAWS_RUNTIME_TASK_H
 #define NUMAWS_RUNTIME_TASK_H
@@ -62,7 +64,12 @@ class TaskBase
     Place place() const { return _place; }
     void setPlace(Place p) { _place = p; }
 
-    /** Promotion analogue: set when a thief takes this task. */
+    /** Promotion analogue: set by the thief that takes this task off
+     * its spawner's deque or out of a mailbox, before the task runs or
+     * is pushed on (so every mailbox entry carries it). It also picks
+     * the join path: an unstolen task can only run on its spawner and
+     * completes with a plain owner-side increment, a stolen one with
+     * an atomic release increment (TaskGroup::onChildDone). */
     bool stolen() const { return _stolen; }
     void markStolen() { _stolen = true; }
 

@@ -2,6 +2,8 @@
 
 #include "support/panic.h"
 
+#include <utility>
+
 namespace numaws {
 
 TaskGroup::TaskGroup() = default;
@@ -25,12 +27,11 @@ TaskGroup::sync()
     w->helpSync(*this);
     NUMAWS_ASSERT(pending() == 0);
 
-    std::exception_ptr e;
-    {
-        std::lock_guard<SpinLock> g(_exceptionLock);
-        e = _exception;
-        _exception = nullptr;
-    }
+    // No lock: with pending() == 0 every child's recordException
+    // happened-before this read — local children ran on this thread,
+    // and stolen ones wrote before their release increment, which
+    // pending()'s acquire load observed.
+    std::exception_ptr e = std::exchange(_exception, nullptr);
     if (e)
         std::rethrow_exception(e);
 
@@ -55,6 +56,7 @@ TaskGroup::sync()
 void
 TaskGroup::recordException(std::exception_ptr e)
 {
+    // Locked: stolen children can throw concurrently.
     std::lock_guard<SpinLock> g(_exceptionLock);
     if (!_exception)
         _exception = std::move(e);

@@ -64,8 +64,7 @@ Worker::Worker(Runtime &runtime, int id, int place, uint64_t seed,
       _core(runtime.options().sched,
             EngineView{&runtime.stealDistribution(), &runtime.board()},
             id, place, seed),
-      _mark(nowNs()),
-      _sampleMask((1u << runtime.options().timeSplitSampleShift) - 1)
+      _mark(nowNs())
 {
     // Mailbox occupancy reaches the board from inside tryPut/tryTake, so
     // pushers and thieves publish transitions without extra call sites;
@@ -188,7 +187,7 @@ Worker::trySteal()
 
     // Successful steal: everything past this point is scheduler
     // bookkeeping, charged to scheduling time (the span term).
-    switchBucket(TimeSplit::Scheduling);
+    enterBucket(TimeSplit::Scheduling);
     if (from_mailbox)
         ++_counters.mailboxTakes;
     else
@@ -200,12 +199,21 @@ Worker::trySteal()
     // acquired from the own deque never pays this check beyond a compare.
     if (isConcretePlace(task->place()) && task->place() != _place) {
         if (pushBack(task)) {
-            switchBucket(TimeSplit::Idle);
+            enterBucket(TimeSplit::Idle);
             return nullptr; // handed off; keep looking for other work
         }
         // Pushing threshold reached: honor load balance over locality.
     }
     return task;
+}
+
+TaskBase *
+Worker::stealWhenDry()
+{
+    // The only point the lazy time split turns a worker Idle: whatever
+    // Work segment the last task left open closes here.
+    enterBucket(TimeSplit::Idle);
+    return _runtime.workActive() ? trySteal() : nullptr;
 }
 
 bool
@@ -265,17 +273,12 @@ Worker::placeForData(const void *data, std::size_t bytes) const
 void
 Worker::executeTask(TaskBase *task)
 {
-    // Sampled time split: only 1-in-2^timeSplitSampleShift tasks pay
-    // the two clock reads bracketing execution (~40ns/task in the
-    // fine-grained regime); the rest are counted and reclassified from
-    // the enclosing segment at the next real read (switchBucket). The
-    // default shift of 0 samples every task — the exact mode.
-    const bool sampled = (_sampleCtr++ & _sampleMask) == 0;
-    int64_t work_before = 0;
-    if (sampled) {
-        switchBucket(TimeSplit::Work);
-        work_before = _time.ns(TimeSplit::Work);
-    }
+    // Lazy time split: a task entered from Idle or Scheduling opens a
+    // Work segment; one run inside another task's sync is already in
+    // Work and reads no clock. Nothing is read on the way out either —
+    // the caller closes the segment when it next leaves Work (a dry
+    // probe before stealing, or finishJob's flush).
+    enterBucket(TimeSplit::Work);
     const Place prev_hint = _currentHint;
     _currentHint = task->place();
     // Job context switches with the task (saved/restored like the hint):
@@ -314,27 +317,19 @@ Worker::executeTask(TaskBase *task)
                 ? static_cast<int8_t>(prev_job->opts.cls)
                 : static_cast<int8_t>(-1),
             std::memory_order_relaxed);
-    if (task->group() != nullptr)
-        task->group()->onChildDone();
+    // The join: a plain owner-side increment unless the child left
+    // its spawner (TaskGroup's THE-style counter). The group may be
+    // gone the moment a stolen child's increment lands, so this is the
+    // last touch of it.
+    if (TaskGroup *g = task->group())
+        g->onChildDone(task->stolen());
     // Frame release sits on both the normal and the exception path
     // above: a thrown task body still recycles its frame.
     releaseTask(task);
-    // Liveness signal for the stall watchdog: one relaxed increment per
-    // completed task body.
-    _progressStamp.fetch_add(1, std::memory_order_relaxed);
-    if (sampled) {
-        switchBucket(TimeSplit::Idle);
-        // Work credited across this task's span (its own segment plus
-        // any nested helping): the per-task estimate the unsampled
-        // majority is charged at.
-        const int64_t w = _time.ns(TimeSplit::Work) - work_before;
-        if (w > 0) {
-            _sampledWorkNs += w;
-            ++_sampledTaskCount;
-        }
-    } else {
-        ++_unsampledTasks;
-    }
+    // Liveness signal for the stall watchdog. Single writer, so a
+    // relaxed load+store suffices — no RMW on the work path.
+    _progressStamp.store(_progressStamp.load(std::memory_order_relaxed) + 1,
+                         std::memory_order_relaxed);
 }
 
 void
@@ -385,13 +380,14 @@ Worker::releaseTask(TaskBase *task)
 void
 Worker::helpSync(TaskGroup &group)
 {
-    // We are inside a task body (bucket == Work); the wait itself is not
-    // useful work until we actually find something to execute.
-    switchBucket(TimeSplit::Idle);
+    // We are inside a task body (bucket == Work). Draining the own
+    // deque — our descendants, the work path — stays Work with no
+    // clock read; the wait turns Idle only once the deque and mailbox
+    // are dry and we have to steal.
     while (group.pending() > 0) {
         TaskBase *t = acquireLocal();
-        if (t == nullptr && _runtime.workActive())
-            t = trySteal();
+        if (t == nullptr)
+            t = stealWhenDry();
         if (t != nullptr)
             executeTask(t);
         else
@@ -399,7 +395,7 @@ Worker::helpSync(TaskGroup &group)
                 cpuRelax();
     }
     // Control returns to the syncing task's body.
-    switchBucket(TimeSplit::Work);
+    enterBucket(TimeSplit::Work);
 }
 
 void
@@ -408,14 +404,14 @@ Worker::helpJob(const JobState &job)
     // Like helpSync, but for a job join — and unlike a sync, the wait
     // *claims queued jobs too*: the joined job may still be sitting in
     // the admission queue behind us, and on a single-worker runtime no
-    // one else could ever claim it (nested submit-and-wait).
-    switchBucket(TimeSplit::Idle);
+    // one else could ever claim it (nested submit-and-wait). Time
+    // splits as in helpSync: Work while local or queued work runs.
     while (!job.done.load(std::memory_order_acquire)) {
         TaskBase *t = acquireLocal();
         if (t == nullptr)
             t = _runtime.takeJob();
-        if (t == nullptr && _runtime.workActive())
-            t = trySteal();
+        if (t == nullptr)
+            t = stealWhenDry();
         if (t != nullptr)
             executeTask(t);
         else
@@ -424,7 +420,7 @@ Worker::helpJob(const JobState &job)
                  ++i)
                 cpuRelax();
     }
-    switchBucket(TimeSplit::Work);
+    enterBucket(TimeSplit::Work);
 }
 
 bool
@@ -435,14 +431,13 @@ Worker::helpJobUntil(const JobState &job, int64_t deadline_ns)
     // the job is unresolved. The deadline is checked between task
     // executions only — a long task body overshoots, same as any
     // cooperative scheme here.
-    switchBucket(TimeSplit::Idle);
     while (!job.done.load(std::memory_order_acquire)
            && nowNs() < deadline_ns) {
         TaskBase *t = acquireLocal();
         if (t == nullptr)
             t = _runtime.takeJob();
-        if (t == nullptr && _runtime.workActive())
-            t = trySteal();
+        if (t == nullptr)
+            t = stealWhenDry();
         if (t != nullptr)
             executeTask(t);
         else
@@ -451,7 +446,7 @@ Worker::helpJobUntil(const JobState &job, int64_t deadline_ns)
                  ++i)
                 cpuRelax();
     }
-    switchBucket(TimeSplit::Work);
+    enterBucket(TimeSplit::Work);
     return job.done.load(std::memory_order_acquire);
 }
 
@@ -534,6 +529,7 @@ Worker::mainLoop()
                     executeTask(t);
                     continue;
                 }
+                enterBucket(TimeSplit::Idle);
                 retirePark();
                 continue;
             }
@@ -554,8 +550,8 @@ Worker::mainLoop()
         // job it was woken for rather than contend on steals.
         if (t == nullptr)
             t = _runtime.takeJob();
-        if (t == nullptr && _runtime.workActive())
-            t = trySteal();
+        if (t == nullptr)
+            t = stealWhenDry();
         if (t != nullptr) {
             _core.noteProgress();
             executeTask(t);
@@ -599,7 +595,8 @@ Worker::mainLoop()
             cpuRelax();
         }
     }
-    switchBucket(TimeSplit::Idle); // flush the final segment
+    // Flush the final segment (a same-bucket switch reads nothing).
+    chargeOpenSegment(nowNs());
     numa::unbindThread();
     tlsWorker = nullptr;
 }

@@ -2,7 +2,7 @@
  * @file
  * The PR 6 serving front door: submit/JobHandle lifecycle, JobQueue
  * priority order, LatencyHist units, the elastic worker pool's
- * park/unpark behavior, sampled time-split fidelity, and serving-mode
+ * park/unpark behavior, exact time-split accounting, and serving-mode
  * determinism in the simulator.
  *
  * Concurrency tests follow the repo's 1-core-host discipline: no
@@ -368,72 +368,74 @@ TEST(ElasticPool, NoLostWakeupOnAdmissionEdge)
 }
 
 // ---------------------------------------------------------------------
-// Sampled time-split
+// Exact time split
 // ---------------------------------------------------------------------
 
-TEST(SampledTimeSplit, TotalsStayWallExactAndWorkFractionTracks)
+TEST(ExactTimeSplit, LastSegmentIsFlushedBeforeRunReturns)
 {
-    // fig3-breakdown fidelity: sampling clock reads 1-in-16 must not
-    // change where the time overwhelmingly goes, and the bucket totals
-    // always sum to measured wall time by construction.
-    //
-    // Noise design, in order of load-bearing-ness: single worker (on a
-    // timeshared host a multi-worker run inflates unsampled tasks'
-    // wall time with the sibling thread's timeslices, invisible to the
-    // per-task estimate; exact mode brackets every task so preemption
-    // lands in Work either way); tasks of ~1 ms (long against an OS
-    // timeslice, so a co-scheduled process — ctest -j — inflates
-    // sampled and unsampled tasks about equally and the running-mean
-    // estimate absorbs it); and a retry loop for the window where a
-    // burst of foreign CPU lands entirely inside the sampled run.
-    auto work_fraction = [](int shift) {
-        RuntimeOptions o = smallRuntime(1);
-        o.timeSplitSampleShift = shift;
-        Runtime rt(o);
-        rt.run([] {
-            TaskGroup tg;
-            for (int i = 0; i < 48; ++i)
-                tg.spawn([] {
-                    volatile double x = 1.0;
-                    for (int k = 0; k < 300000; ++k)
-                        x = x * 1.0000001;
-                });
-            tg.sync();
-        });
-        const TimeSplit &t = rt.stats().time;
-        const double total =
-            t.seconds(TimeSplit::Work)
-            + t.seconds(TimeSplit::Scheduling)
-            + t.seconds(TimeSplit::Idle);
-        EXPECT_GT(total, 0.0);
-        return t.seconds(TimeSplit::Work) / total;
-    };
-    // Generous tolerance: CI hosts are noisy; the failure mode this
-    // guards (work time collapsing to ~0 because unsampled tasks are
-    // charged to Idle) is a ~1.0 absolute shift.
-    double exact = 0.0;
-    double sampled = 0.0;
-    for (int attempt = 0; attempt < 4; ++attempt) {
-        exact = work_fraction(0);
-        sampled = work_fraction(4);
-        if (exact > 0.5 && std::abs(sampled - exact) <= 0.35)
-            break;
-    }
-    EXPECT_GT(exact, 0.5);
-    if (std::abs(sampled - exact) <= 0.35) {
-        SUCCEED();
-    } else {
-        // Every attempt ran on a heavily contended host (ctest -j on
-        // one core): foreign timeslices landing inside unsampled tasks
-        // are invisible to a wall-clock estimator, and no tolerance on
-        // the exact-vs-sampled comparison is meaningful. Fall back to
-        // the hard floor that still catches the guarded failure mode:
-        // unsampled work charged wholly to Idle collapses the sampled
-        // work fraction to ~1/16.
-        EXPECT_GT(sampled, 0.25)
-            << "sampled work fraction collapsed (exact was " << exact
-            << ")";
-    }
+    // The split is lazy: a job root that never leaves Work would leave
+    // its whole body in the open segment, were finishJob not to charge
+    // it before publishing done. stats() read right after run() must
+    // see the body's wall time as Work.
+    Runtime rt(smallRuntime(1));
+    constexpr int64_t kSpinNs = 20'000'000; // 20 ms
+    rt.run([] {
+        const int64_t t0 = nowNs();
+        while (nowNs() - t0 < kSpinNs)
+            cpuRelax();
+    });
+    EXPECT_GE(rt.stats().time.ns(TimeSplit::Work), kSpinNs);
+}
+
+TEST(ExactTimeSplit, FlushDoesNotWaitForTheNextTransition)
+{
+    // Deterministic form of the test above: a second queued job keeps
+    // the worker in Work after the first finishes (claimed with no
+    // bucket change, so no clock read), and parks on a flag while the
+    // stats are read. Only finishJob's flush can have charged the first
+    // job's body by then.
+    Runtime rt(smallRuntime(1));
+    constexpr int64_t kSpinNs = 20'000'000; // 20 ms
+    std::atomic<bool> release{false};
+    JobHandle first = rt.submit([] {
+        const int64_t t0 = nowNs();
+        while (nowNs() - t0 < kSpinNs)
+            cpuRelax();
+    });
+    JobHandle second = rt.submit([&release] {
+        while (!release.load(std::memory_order_acquire))
+            std::this_thread::yield();
+    });
+    first.wait();
+    const int64_t work = rt.stats().time.ns(TimeSplit::Work);
+    release.store(true, std::memory_order_release);
+    second.wait();
+    EXPECT_GE(work, kSpinNs);
+}
+
+TEST(ExactTimeSplit, TaskTreeWorkFractionDominates)
+{
+    // Fig3-breakdown fidelity: a single worker running 48 ~1 ms leaf
+    // tasks spends most of its accounted time in Work. Exact mode
+    // brackets whole tasks, so OS preemption inside a task lands in
+    // Work too and a contended host cannot move the split much.
+    Runtime rt(smallRuntime(1));
+    rt.run([] {
+        TaskGroup tg;
+        for (int i = 0; i < 48; ++i)
+            tg.spawn([] {
+                volatile double x = 1.0;
+                for (int k = 0; k < 300000; ++k)
+                    x = x * 1.0000001;
+            });
+        tg.sync();
+    });
+    const TimeSplit &t = rt.stats().time;
+    const double total = t.seconds(TimeSplit::Work)
+                         + t.seconds(TimeSplit::Scheduling)
+                         + t.seconds(TimeSplit::Idle);
+    ASSERT_GT(total, 0.0);
+    EXPECT_GT(t.seconds(TimeSplit::Work) / total, 0.5);
 }
 
 // ---------------------------------------------------------------------

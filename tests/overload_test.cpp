@@ -347,6 +347,36 @@ TEST(Deadline, ExpiresMidRunAtSpawnBoundary)
     EXPECT_EQ(h.outcome(), JobOutcome::Expired);
 }
 
+TEST(Deadline, SpawnOnlyBodyExpiresAtAmortizedSpawnBoundary)
+{
+    // The spawn boundary reads the deadline clock only on every
+    // kDeadlineCheckPeriod-th spawn of a worker. A body that only
+    // spawns (no explicit sync) must still stop within one period once
+    // the deadline has passed — not run its loop to the end and merely
+    // flip to Expired at the finish edge.
+    Runtime rt(oneWorker());
+    JobOptions opts;
+    opts.deadlineNs = 50'000'000; // 50ms: the claim lands well inside
+    std::atomic<int> spawned{0};
+    std::atomic<bool> loop_finished{false};
+    JobHandle h = rt.submit(
+        [&] {
+            std::this_thread::sleep_for(60ms); // overshoot the deadline
+            TaskGroup tg;
+            for (int i = 0; i < 10'000; ++i) {
+                tg.spawn([] {});
+                spawned.fetch_add(1, std::memory_order_relaxed);
+            }
+            loop_finished.store(true);
+        },
+        opts);
+    h.wait();
+    EXPECT_EQ(h.outcome(), JobOutcome::Expired);
+    EXPECT_FALSE(loop_finished.load());
+    EXPECT_LT(spawned.load(),
+              static_cast<int>(Worker::kDeadlineCheckPeriod));
+}
+
 TEST(Deadline, LateFinishWithoutBoundariesStillResolvesExpired)
 {
     // A body that runs past its deadline but never hits a spawn/sync
