@@ -22,6 +22,10 @@
  * is scheduling luck on small hosts, so it carries no elapsed_s for
  * the trajectory gate to latch onto.
  *
+ * Every rep is timed inside its job body, from just before the first
+ * spawn (or call) to just after the sync, so no row includes the job's
+ * submit -> claim -> wake; the rows price the spawn path alone.
+ *
  * Statistics: every comparison — the gate here and the elapsed_s the
  * CI trajectory tracks — uses the per-rep *minimum*, the standard
  * least-noise estimate of a microbenchmark's true cost (scheduler
@@ -58,22 +62,24 @@ plainNop()
 }
 
 /** One job of @p spawns empty children and a sync. @p opts carries
- * the pooled+deadline row's far-off deadline (run(fn) is exactly
- * submit(fn).wait(), so the default is the plain spawn+sync rep). */
+ * the pooled+deadline row's far-off deadline. Every rep times its job
+ * body only (see the file comment). */
 double
 spawnSyncRep(Runtime &rt, int spawns, JobOptions opts = {})
 {
-    WallTimer t;
+    double seconds = 0.0;
     rt.submit(
           [&] {
+              WallTimer t;
               TaskGroup tg;
               for (int i = 0; i < spawns; ++i)
                   tg.spawn([] { plainNop(); });
               tg.sync();
+              seconds = t.seconds();
           },
           opts)
         .wait();
-    return t.seconds();
+    return seconds;
 }
 
 /** 2-worker rep: tasks carry a body of a few microseconds so the
@@ -82,8 +88,9 @@ spawnSyncRep(Runtime &rt, int spawns, JobOptions opts = {})
 double
 spawnWorkRep(Runtime &rt, int spawns)
 {
-    WallTimer t;
+    double seconds = 0.0;
     rt.run([&] {
+        WallTimer t;
         TaskGroup tg;
         for (int i = 0; i < spawns; ++i)
             tg.spawn([] {
@@ -91,19 +98,22 @@ spawnWorkRep(Runtime &rt, int spawns)
                     plainNop();
             });
         tg.sync();
+        seconds = t.seconds();
     });
-    return t.seconds();
+    return seconds;
 }
 
 double
 plainCallRep(Runtime &rt, int calls)
 {
-    WallTimer t;
+    double seconds = 0.0;
     rt.run([&] {
+        WallTimer t;
         for (int i = 0; i < calls; ++i)
             plainNop();
+        seconds = t.seconds();
     });
-    return t.seconds();
+    return seconds;
 }
 
 struct Measured

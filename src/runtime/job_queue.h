@@ -3,8 +3,9 @@
  * MPMC admission queue feeding job roots to the worker pool.
  *
  * Submitters (any thread) deposit a job's root task into its class lane;
- * idle workers claim roots in strict class order (Latency > Normal >
- * Batch), FIFO within a class. The queue is deliberately *not* on the
+ * idle workers claim roots in class order (Latency > Normal > Batch,
+ * reranked by priority aging — ShedCore::claimLane picks the lane),
+ * FIFO within a class. The queue is deliberately *not* on the
  * spawn fast path — admission happens at most once per job, so a short
  * per-lane spinlock critical section is the right trade against lock-free
  * complexity. What must be cheap is the *dry check* the worker idle loop
@@ -74,11 +75,15 @@ class JobQueue
     }
 
     /** Submit timestamp (ns) of @p cls's oldest queued job, or -1 when
-     * the lane is empty — the head-wait signal priority aging ranks
-     * lanes by. Takes the lane lock; claim-path only, never spawn. */
+     * the lane is empty — the head-wait signal claims rank lanes by
+     * (ShedCore::claimLane). An empty lane answers from its depth
+     * counter without the lock (laneDepth's staleness contract); a
+     * nonempty one takes the lane lock. Claim-path only, never spawn. */
     int64_t
     headSubmitNs(int cls)
     {
+        if (laneDepth(cls) == 0)
+            return -1;
         Lane &lane = _lanes[cls];
         std::lock_guard<SpinLock> g(lane.lock);
         return lane.q.empty() ? -1 : lane.q.front().state->submitNs;

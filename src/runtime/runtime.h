@@ -589,9 +589,9 @@ class Worker
      * the epoch when due, publish to the PressureBoard, and (place
      * leader only) advance the InterferenceCore hysteresis. */
     void maybeSamplePressure();
-    /** Retired verdict observed on the idle path: park until the
-     * verdict clears or shutdown, maintaining the retire counters and
-     * (leader) the epoch ticks that drive re-expansion probing. */
+    /** Retired verdict observed on the idle path: park one epoch (or
+     * until shutdown), maintaining the retire counters. Never called
+     * on the place leader, whose epoch ticks drive re-expansion. */
     void retirePark();
 
     /**
@@ -678,7 +678,7 @@ class Worker
     bool _interferenceEnabled = false;
     int64_t _pressureEpochNs = 0;
     /** Rank from the top of this worker's place range: 0 retires
-     * first; the place leader (largest rank, lowest id) retires last
+     * first; the place leader (largest rank, lowest id) never retires
      * and is the one that ticks the InterferenceCore epoch. */
     int _retireRank = 0;
     int _placeWorkers = 1; ///< workers sharing this worker's place

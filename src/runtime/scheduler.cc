@@ -38,15 +38,13 @@ Runtime::Runtime(RuntimeOptions options)
           options.numWorkers > 0 ? options.numWorkers : hostCpuCount())),
       _dist(_machine,
             options.numWorkers > 0 ? options.numWorkers : hostCpuCount(),
-            options.sched.biasedSteals ? options.sched.biasWeights
-                                       : BiasWeights::uniform()),
+            options.sched.biasWeights()),
       _board(_dist.numWorkers(), _dist.workerSockets()),
       _parking(_board.numSockets()),
       _pageMap(std::max(1, options.numPlaces)),
       _arena(_pageMap),
       _shed(options.sched.serving),
-      _pressure(_board.numSockets(),
-                options.sched.serving.pressureEwmaShift),
+      _pressure(_board.numSockets()),
       _interference(options.sched.serving, _board.numSockets())
 {
     const int workers =
@@ -231,48 +229,25 @@ Runtime::takeJobAbove(int below_cls)
     // past-deadline entries resolve here without ever running — their
     // roots are deleted (the state survives via QueuedJob's shared_ptr
     // for the resolution) and the scan continues to the next entry.
-    const bool aging = _options.sched.serving.agingWaitUs > 0;
-    const int scan =
-        below_cls < kNumJobClasses ? below_cls : kNumJobClasses;
     for (;;) {
         if (_jobQueue.empty())
             return nullptr;
         const int64_t now = nowNs();
-        QueuedJob job;
-        bool promoted = false;
-        if (!aging) {
-            // Aging off: effective class == nominal class, so the
-            // rank-by-effective scan below degenerates to this strict
-            // priority order without the per-lane head peeks.
-            for (int c = 0; c < scan && !job.valid(); ++c)
-                job = _jobQueue.tryPopLane(c);
-            if (!job.valid())
-                return nullptr;
-        } else {
-            // Rank nonempty lanes by effective class — each lane's
-            // nominal class promoted by its head job's wait
-            // (ShedCore::effectiveClass) — with the nominal order
-            // breaking ties, so a starved Batch lane eventually
-            // outranks a saturated Latency lane.
-            int best = -1;
-            int best_eff = below_cls;
-            for (int c = 0; c < kNumJobClasses; ++c) {
-                const int64_t head = _jobQueue.headSubmitNs(c);
-                if (head < 0)
-                    continue;
-                const int eff = _shed.effectiveClass(c, now - head);
-                if (eff < best_eff) {
-                    best_eff = eff;
-                    best = c;
-                }
-            }
-            if (best < 0)
-                return nullptr;
-            job = _jobQueue.tryPopLane(best);
-            if (!job.valid())
-                continue; // lost the lane to a concurrent claimer
-            promoted = best_eff < best;
+        // ShedCore ranks the lanes by effective class (priority aging;
+        // the strict nominal order when aging is off). A head submitted
+        // after `now` was read counts as zero wait, not as empty.
+        int64_t head_wait[kNumJobClasses];
+        for (int c = 0; c < kNumJobClasses; ++c) {
+            const int64_t head = _jobQueue.headSubmitNs(c);
+            head_wait[c] = head < 0 ? -1 : std::max<int64_t>(0, now - head);
         }
+        bool promoted = false;
+        const int lane = _shed.claimLane(head_wait, below_cls, &promoted);
+        if (lane < 0)
+            return nullptr;
+        QueuedJob job = _jobQueue.tryPopLane(lane);
+        if (!job.valid())
+            continue; // lost the lane to a concurrent claimer
         JobState &s = *job.state;
         _shed.observeDelay(static_cast<int>(s.opts.cls),
                            now - s.submitNs);

@@ -54,7 +54,6 @@ Worker::Worker(Runtime &runtime, int id, int place, uint64_t seed,
       _id(id),
       _place(place),
       _deque(deque_capacity),
-      _mailbox(runtime.options().sched.mailboxCapacity),
       _framePool(id,
                  runtime.options().taskPool == TaskPoolPolicy::Pooled),
       _dataHeap(id, place,
@@ -77,9 +76,9 @@ Worker::Worker(Runtime &runtime, int id, int place, uint64_t seed,
     // preemption is off (the work-first price of the whole feature).
     _preemptEnabled = pol.serving.preempt;
     // Interference adaptation: retire order is from the top of the
-    // place's worker range downward, so the place leader (lowest id,
-    // largest rank-from-top) retires last and keeps ticking the
-    // socket's pressure epoch for re-expansion probing.
+    // place's worker range downward, and the place leader (lowest id,
+    // largest rank-from-top) never retires: it keeps ticking the
+    // socket's pressure epoch that drives re-expansion.
     _interferenceEnabled =
         pol.serving.interference == InterferencePolicy::Adapt;
     _pressureEpochNs =
@@ -470,6 +469,10 @@ Worker::maybeSamplePressure()
 void
 Worker::retirePark()
 {
+    // The InterferenceCore floor keeps one worker per socket running,
+    // and retirement runs top-down by rank, so the leader never parks
+    // here: its epoch ticks are what reinstate the retired workers.
+    NUMAWS_ASSERT(!_placeLeader);
     // Count the retire on the not-retired -> retired edge only (the
     // loop re-enters here every epoch while the verdict holds).
     if (!_retiredNow.load(std::memory_order_relaxed)) {
@@ -487,17 +490,8 @@ Worker::retirePark()
     _runtime.parkingLot().park(_place, epoch,
                                [this] { return _runtime.shuttingDown(); });
     _parkedNow.store(false, std::memory_order_relaxed);
-    const int64_t parked = nowNs() - park_start;
-    _parkedNs.fetch_add(static_cast<uint64_t>(parked),
+    _parkedNs.fetch_add(static_cast<uint64_t>(nowNs() - park_start),
                         std::memory_order_relaxed);
-    _pressureSensor.notePark(parked);
-    // A fully retired socket still needs its epochs ticked or it could
-    // never re-expand: the retired leader samples from here. Parked
-    // time is excluded from the epoch's wall base, so these samples
-    // read (near) zero pressure and decay the EWMA toward the expand
-    // threshold — the expand streak becomes the probe duty cycle.
-    if (_placeLeader)
-        maybeSamplePressure();
 }
 
 void

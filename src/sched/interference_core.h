@@ -11,19 +11,22 @@
  * the same unit from its InterferenceTrace). Per socket, the core runs
  * a hysteresis ladder over epoch verdicts:
  *
- *   pressure >= shrink threshold   -> hot epoch; `shrinkEpochs` in a
- *                                     row retire one more worker
- *   pressure <= expand threshold   -> cool epoch; `expandEpochs` in a
- *                                     row reinstate one worker
- *   in between (the dead band)     -> both streaks reset; hold
+ *   pressure >= kShrinkPermille  -> hot epoch; kShrinkEpochs in a
+ *                                   row retire one more worker
+ *   pressure <= kExpandPermille  -> cool epoch; interferenceExpandEpochs
+ *                                   in a row reinstate one worker
+ *   in between (the dead band)   -> both streaks reset; hold
+ *
+ * The thresholds and the shrink streak are fixed: no bench, example or
+ * gate ever tuned them. Only the expand streak stays a knob, because
+ * it doubles as the retired workers' probe duty cycle.
  *
  * "Retire" is a *target*, not an action: retiredTarget(socket) says
  * how many workers of that socket should be parked, and each engine's
  * workers compare their own rank against it on the scheduling path
- * (workerRetired). Retirement is ordered top-down by rank so the
- * bottom worker — the per-socket leader that keeps sensing and
- * ticking the epoch — retires last, and only when the configured
- * floor is zero.
+ * (workerRetired). Retirement is ordered top-down by rank and floored
+ * at one worker per socket, so the bottom worker — the per-socket
+ * leader that keeps sensing and ticking the epoch — never retires.
  *
  * Like every policy core here it is clock-free and allocation-free
  * after construction; state words are relaxed atomics (verdicts are
@@ -45,16 +48,22 @@ namespace numaws {
 class InterferenceCore
 {
   public:
+    /** Socket pressure (per-mille, EWMA-smoothed) at or above which an
+     * epoch counts as *hot*. */
+    static constexpr int kShrinkPermille = 250;
+    /** Pressure at or below which an epoch counts as *cool*; the band
+     * between the two thresholds holds the current worker set. */
+    static constexpr int kExpandPermille = 80;
+    /** Consecutive hot epochs before one more worker retires. */
+    static constexpr int kShrinkEpochs = 2;
+
     InterferenceCore(const ServingPolicy &policy, int sockets)
         : _policy(policy), _sockets(sockets),
           _state(new SocketState[static_cast<std::size_t>(
               sockets > 0 ? sockets : 1)])
     {
         NUMAWS_ASSERT(sockets >= 1);
-        NUMAWS_ASSERT(policy.interferenceShrinkEpochs >= 1);
         NUMAWS_ASSERT(policy.interferenceExpandEpochs >= 1);
-        NUMAWS_ASSERT(policy.interferenceShrinkPermille
-                      > policy.interferenceExpandPermille);
     }
 
     /** Off => no epoch ever ticks and every query is the identity. */
@@ -67,8 +76,9 @@ class InterferenceCore
     /**
      * Advance one socket's hysteresis ladder with its epoch pressure
      * (called once per epoch by that socket's leader — or by the
-     * simulator's event loop). @p workersOnSocket bounds how many
-     * workers may retire. Returns true when the retired target moved.
+     * simulator's event loop). At most @p workersOnSocket - 1 workers
+     * retire: the leader stays. Returns true when the retired target
+     * moved.
      */
     bool
     epochTick(int socket, int pressure_permille, int workersOnSocket)
@@ -78,12 +88,11 @@ class InterferenceCore
             return false;
         SocketState &s = _state[socket];
         const int retired = s.retired.load(std::memory_order_relaxed);
-        const int maxRetire =
-            workersOnSocket - _policy.minWorkersPerSocket;
-        if (pressure_permille >= _policy.interferenceShrinkPermille) {
+        const int maxRetire = workersOnSocket - 1;
+        if (pressure_permille >= kShrinkPermille) {
             s.cool = 0;
             s.pressured.store(true, std::memory_order_relaxed);
-            if (++s.hot >= _policy.interferenceShrinkEpochs) {
+            if (++s.hot >= kShrinkEpochs) {
                 s.hot = 0;
                 if (retired < maxRetire) {
                     s.retired.store(retired + 1,
@@ -92,8 +101,7 @@ class InterferenceCore
                     return true;
                 }
             }
-        } else if (pressure_permille
-                   <= _policy.interferenceExpandPermille) {
+        } else if (pressure_permille <= kExpandPermille) {
             s.hot = 0;
             s.pressured.store(false, std::memory_order_relaxed);
             if (++s.cool >= _policy.interferenceExpandEpochs) {
@@ -124,8 +132,8 @@ class InterferenceCore
 
     /**
      * Is the worker holding @p rankFromTop (0 = the socket's last
-     * worker, retired first; the leader holds the largest rank)
-     * currently retired?
+     * worker, retired first; the leader holds the largest rank and is
+     * never retired) currently retired?
      */
     bool
     workerRetired(int socket, int rankFromTop) const

@@ -150,8 +150,6 @@ struct ServingPolicy
     /** QueueDelay targets, microseconds: a class whose claim-time
      * queue-delay EWMA exceeds its target marks the server overloaded. */
     int queueDelayTargetUs[kNumServingClasses] = {1000, 5000, 20000};
-    /** EWMA weight = 1/2^shift (3 == 1/8, a few claims to converge). */
-    int queueDelayEwmaShift = 3;
     /**
      * Cooperative latency-class preemption: when a job is admitted
      * while every worker runs lower-class (higher-numbered) work,
@@ -186,26 +184,11 @@ struct ServingPolicy
      * progress sensor once per epoch; the per-socket leader advances
      * the InterferenceCore hysteresis on the same cadence. */
     int pressureEpochUs = 5000;
-    /** Socket pressure (per-mille of the epoch lost to interference,
-     * EWMA-smoothed) at or above which an epoch counts as *hot*. */
-    int interferenceShrinkPermille = 250;
-    /** Pressure at or below which an epoch counts as *cool*; the band
-     * between the two thresholds holds the current worker set. */
-    int interferenceExpandPermille = 80;
-    /** Consecutive hot epochs before one more worker retires. */
-    int interferenceShrinkEpochs = 2;
     /** Consecutive cool epochs before one retired worker returns. A
-     * retired socket can only observe its own pressure by running, so
-     * this knob is also the probe duty cycle: larger values probe less
-     * often under sustained interference. */
+     * retired worker only learns whether the pressure has gone by
+     * running again, so this knob is also the probe duty cycle: larger
+     * values probe less often under sustained interference. */
     int interferenceExpandEpochs = 2;
-    /** Floor of active workers per socket under Adapt. 0 allows a fully
-     * retired socket (it re-probes via the expand hysteresis); 1 keeps
-     * a leader running so sensing continues in place. */
-    int minWorkersPerSocket = 1;
-    /** Pressure EWMA weight = 1/2^shift (2 == 1/4: a couple of epochs
-     * to converge, matched to the hysteresis epoch counts). */
-    int pressureEwmaShift = 2;
 };
 
 /**
@@ -219,7 +202,6 @@ struct SchedPolicy
 {
     /** Locality-biased steals (uniform when false == classic WS). */
     bool biasedSteals = true;
-    BiasWeights biasWeights{};
     /** Lazy work pushing via mailboxes (false == classic WS). */
     bool useMailboxes = true;
     /**
@@ -229,8 +211,6 @@ struct SchedPolicy
     bool coinFlip = true;
     /** Constant pushing threshold (Section III-B). */
     int pushThreshold = 4;
-    /** Mailbox slots per worker (the paper's protocol is capacity 1). */
-    int mailboxCapacity = 1;
     /** Park fallback timeout at the tuner's neutral prior,
      * microseconds: the most a lost or cross-socket wakeup can cost
      * before the worker re-probes. The EWMA tuner scales it. */
@@ -248,6 +228,14 @@ struct SchedPolicy
      * bounds and load shedding (see ServingPolicy / ShedPolicy above).
      * Executed by the shared ShedCore in both engines. */
     ServingPolicy serving{};
+
+    /** Victim weights: the paper's fixed 8:2:1 locality bias, or
+     * uniform (classic WS) when biased steals are off. */
+    BiasWeights
+    biasWeights() const
+    {
+        return biasedSteals ? BiasWeights{} : BiasWeights::uniform();
+    }
 
     /** PUSHBACK receivers sampled from advertised mailbox room. */
     bool

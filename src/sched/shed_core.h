@@ -11,17 +11,22 @@
  * simulator's decisions byte-deterministic.
  *
  * Mechanism (ShedPolicy::QueueDelay, CoDel-shaped): each class keeps an
- * EWMA of the queue delay its jobs had accumulated when a worker
- * claimed them. While any class's EWMA exceeds its configured target
- * the server is *overloaded*, and each new admission into a *standing*
- * queue sheds one queued job from the lowest-priority nonempty lane
- * (Batch before Normal before Latency) — one-in-one-out, so no lane
- * grows while the delay signal stays above target, and the highest
- * classes are structurally the last to feel it. An arrival into empty
+ * EWMA (fixed weight 1/8, kDelayEwmaShift) of the queue delay its jobs
+ * had accumulated when a worker claimed them. While any class's EWMA
+ * exceeds its configured target the server is *overloaded*, and each
+ * new admission into a *standing* queue sheds one queued job from the
+ * lowest-priority nonempty lane (Batch before Normal before Latency)
+ * — one-in-one-out, so no lane grows while the delay signal stays
+ * above target, and the highest classes are structurally the last to
+ * feel it. An arrival into empty
  * lanes is never shed (CoDel's rule): it is the server's next unit of
  * work, and evicting it would starve a busy-but-drained server while
  * the EWMA decays. Lane capacities (ShedPolicy::Reject, and the
  * backstop under QueueDelay) are a pure admission-time depth check.
+ *
+ * The claim side lives here too: claimLane ranks the nonempty lanes by
+ * effective class (priority aging) for both engines' claim loops, so
+ * which lane a worker pops is decided in exactly one place.
  *
  * Thread-safety: the EWMAs are relaxed atomics updated with racy
  * read-modify-write — concurrent claims may lose an update, which only
@@ -43,12 +48,12 @@ namespace numaws {
 class ShedCore
 {
   public:
+    /** Claim-delay EWMA weight = 1/2^shift (3 == 1/8, a few claims to
+     * converge). */
+    static constexpr int kDelayEwmaShift = 3;
+
     ShedCore() = default;
-    explicit ShedCore(const ServingPolicy &policy) : _policy(policy)
-    {
-        NUMAWS_ASSERT(_policy.queueDelayEwmaShift >= 0
-                      && _policy.queueDelayEwmaShift < 32);
-    }
+    explicit ShedCore(const ServingPolicy &policy) : _policy(policy) {}
 
     bool enabled() const { return _policy.shed != ShedPolicy::None; }
     ShedPolicy policy() const { return _policy.shed; }
@@ -84,7 +89,7 @@ class ShedCore
         const int64_t next =
             prev == kUnseeded
                 ? delayNs
-                : prev + ((delayNs - prev) >> _policy.queueDelayEwmaShift);
+                : prev + ((delayNs - prev) >> kDelayEwmaShift);
         ewma.store(next, std::memory_order_relaxed);
     }
 
@@ -119,6 +124,36 @@ class ShedCore
         if (steps >= static_cast<int64_t>(cls))
             return 0;
         return cls - static_cast<int>(steps);
+    }
+
+    /**
+     * The lane a claim pops: among lanes with a head job
+     * (@p headWaitNs[c] >= 0; negative marks an empty lane), the one
+     * with the best effectiveClass strictly below @p below, nominal
+     * class breaking ties. With aging off effectiveClass is the
+     * identity, so this is the strict nominal scan. Returns -1 when no
+     * lane qualifies; @p promoted (optional) reports whether aging, not
+     * nominal rank, won the pick.
+     */
+    int
+    claimLane(const int64_t headWaitNs[kNumServingClasses], int below,
+              bool *promoted) const
+    {
+        int best = -1;
+        int best_eff = below < kNumServingClasses ? below
+                                                  : kNumServingClasses;
+        for (int c = 0; c < kNumServingClasses; ++c) {
+            if (headWaitNs[c] < 0)
+                continue;
+            const int eff = effectiveClass(c, headWaitNs[c]);
+            if (eff < best_eff) {
+                best_eff = eff;
+                best = c;
+            }
+        }
+        if (promoted != nullptr)
+            *promoted = best >= 0 && best_eff < best;
+        return best;
     }
 
     /**

@@ -5,7 +5,6 @@
 #include <optional>
 #include <queue>
 
-#include "deque/mailbox.h"
 #include "sched/admission.h"
 #include "sched/interference_core.h"
 #include "sched/shed_core.h"
@@ -45,9 +44,8 @@ struct CoreState
     double clock = 0.0;
     Continuation cur;
     std::deque<Continuation> deq; ///< back == tail (owner), front == head
-    /** Parked frames, oldest first; bounded by the policy's
-     * mailboxCapacity (the paper's single-entry mailbox is capacity 1). */
-    std::deque<Continuation> mailbox;
+    /** The parked frame, if any: the paper's single-entry mailbox. */
+    Continuation mailbox;
     /**
      * Checkpointed continuations of preempted jobs, innermost last.
      * When a Spawn-boundary yield stashes the current continuation
@@ -112,9 +110,7 @@ class Simulation
           _cfg(config),
           _numCores(cores),
           _usToCycles(machine.ghz() * 1000.0),
-          _dist(machine, cores,
-                config.sched.biasedSteals ? config.sched.biasWeights
-                                          : BiasWeights::uniform()),
+          _dist(machine, cores, config.sched.biasWeights()),
           _board(cores, _dist.workerSockets()),
           _memory(machine, dag, latency),
           _frames(dag.numFrames()),
@@ -130,12 +126,6 @@ class Simulation
         _epochCycles = _cfg.sched.serving.pressureEpochUs * _usToCycles;
         _nextEpochAt = _epochCycles;
         NUMAWS_ASSERT(cores >= 1);
-        // Clamp exactly like the threaded Mailbox does, so a cross-engine
-        // run with an out-of-range capacity compares like with like.
-        if (_cfg.sched.mailboxCapacity < 1)
-            _cfg.sched.mailboxCapacity = 1;
-        if (_cfg.sched.mailboxCapacity > kMaxMailboxCapacity)
-            _cfg.sched.mailboxCapacity = kMaxMailboxCapacity;
         // One StealCore per simulated core — the same brain the threaded
         // runtime drives, fed the sim's seeded RNG chain so runs stay
         // byte-reproducible per seed.
@@ -232,7 +222,7 @@ class Simulation
             const int receiver =
                 brain.pickPushReceiver(first, last, /*self=*/core,
                                        target);
-            if (receiver != core && mailboxHasRoom(receiver)) {
+            if (receiver != core && !_cores[receiver].mailbox.valid()) {
                 mailboxDeposit(receiver, cont, core);
                 ++_counters.pushSuccesses;
                 pushed = true;
@@ -378,17 +368,10 @@ class Simulation
         return cont;
     }
 
-    bool
-    mailboxHasRoom(int core) const
-    {
-        return static_cast<int>(_cores[core].mailbox.size())
-               < _cfg.sched.mailboxCapacity;
-    }
-
     void
     mailboxDeposit(int receiver, Continuation cont, int actor)
     {
-        _cores[receiver].mailbox.push_back(cont);
+        _cores[receiver].mailbox = cont;
         if (_board.publishMailbox(receiver, true))
             maybeWakeSocket(socketOf(receiver), actor);
     }
@@ -396,17 +379,16 @@ class Simulation
     Continuation
     mailboxTake(int core)
     {
-        Continuation cont = _cores[core].mailbox.front();
-        _cores[core].mailbox.pop_front();
-        if (_cores[core].mailbox.empty())
-            _board.publishMailbox(core, false);
+        const Continuation cont = _cores[core].mailbox;
+        _cores[core].mailbox = Continuation{};
+        _board.publishMailbox(core, false);
         return cont;
     }
     /// @}
 
     /** @name Serving mode (open-loop job admission, sim/serving.h) */
     /// @{
-    static constexpr int kNumJobLanes = 3;
+    static constexpr int kNumJobLanes = kNumServingClasses;
 
     bool serving() const { return _jobs != nullptr; }
 
@@ -442,41 +424,25 @@ class Simulation
         return cls;
     }
 
-    /** Pick the lane Runtime::takeJobAbove would pop: the nonempty
-     * lane with the best *effective* class strictly below @p below —
-     * nominal order when aging is off (byte-identical to the pre-aging
-     * scan), head-wait-promoted order when it is on, nominal class as
-     * the tie-break either way. Returns -1 when nothing qualifies;
-     * @p promoted reports whether aging (not nominal rank) won the
-     * pick. */
+    /** The lane Runtime::takeJobAbove would pop, strictly below
+     * @p below (ShedCore::claimLane over each lane's head wait), or -1
+     * when nothing qualifies. @p promoted (optional) reports whether
+     * aging, not nominal rank, won the pick. */
     int
-    pickJobLane(double now, int below, bool &promoted)
+    pickJobLane(double now, int below, bool *promoted)
     {
-        promoted = false;
-        if (_cfg.sched.serving.agingWaitUs <= 0) {
-            const int scan = below < kNumJobLanes ? below : kNumJobLanes;
-            for (int lane = 0; lane < scan; ++lane)
-                if (!_jobLanes[lane].empty())
-                    return lane;
-            return -1;
-        }
-        int best = -1;
-        int best_eff = below < kNumJobLanes ? below : kNumJobLanes;
+        int64_t head_wait[kNumJobLanes];
         for (int lane = 0; lane < kNumJobLanes; ++lane) {
-            if (_jobLanes[lane].empty())
+            if (_jobLanes[lane].empty()) {
+                head_wait[lane] = -1;
                 continue;
+            }
             const double head =
                 (*_jobs)[_jobLanes[lane].front()].arrivalCycles;
-            const int eff = _shed.effectiveClass(
-                lane,
-                static_cast<int64_t>((now - head) / _machine.ghz()));
-            if (eff < best_eff) {
-                best_eff = eff;
-                best = lane;
-            }
+            head_wait[lane] = std::max<int64_t>(
+                0, static_cast<int64_t>((now - head) / _machine.ghz()));
         }
-        promoted = best >= 0 && best_eff < best;
-        return best;
+        return _shed.claimLane(head_wait, below, promoted);
     }
 
     /** Service a raised yield directive at a Spawn boundary (the sim's
@@ -492,9 +458,7 @@ class Simulation
         CoreState &c = _cores[core];
         if (!c.brain.takeYieldRequest())
             return;
-        const int my_cls = jobClsOfFrame(c.cur.frame);
-        bool promoted = false;
-        if (pickJobLane(c.clock, my_cls, promoted) < 0)
+        if (pickJobLane(c.clock, jobClsOfFrame(c.cur.frame), nullptr) < 0)
             return;
         ++_counters.yields;
         c.preempted.push_back(c.cur);
@@ -512,7 +476,7 @@ class Simulation
     {
         CoreState &c = _cores[core];
         bool promoted = false;
-        const int lane_pick = pickJobLane(c.clock, below, promoted);
+        const int lane_pick = pickJobLane(c.clock, below, &promoted);
         if (lane_pick < 0)
             return std::nullopt;
         auto &lane = _jobLanes[lane_pick];
@@ -912,7 +876,7 @@ Simulation::stepStealAttempt(int core)
 
     if (action.checkMailboxFirst) {
         cost += _cfg.mailboxCheckCost;
-        if (!_cores[victim].mailbox.empty()) {
+        if (_cores[victim].mailbox.valid()) {
             const Continuation cont = mailboxTake(victim);
             const Place p = _dag.frame(cont.frame).place;
             if (!placeMismatch(core, p)) {
@@ -1002,7 +966,7 @@ Simulation::stepSchedulingLoop(int core)
     }
 
     // POPMAILBOX (Figure 5 line 26): something parked for this place?
-    if (!c.mailbox.empty()) {
+    if (c.mailbox.valid()) {
         c.cur = mailboxTake(core);
         ++_counters.mailboxPops;
         return {_cfg.mailboxCheckCost, Charge::Sched};

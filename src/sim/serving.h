@@ -7,9 +7,10 @@
  * frames grafted into one dag via ComputationDag::append — arrives over
  * virtual time. Each job carries an arrival cycle and a priority class;
  * the simulated scheduling loop claims admitted jobs from per-class
- * lanes (best *effective* class first, mirroring JobQueue plus
- * ShedCore's priority aging; strict nominal order when aging is off)
- * before probing victims, and under the parking model an admission
+ * lanes before probing victims — the lane comes from
+ * ShedCore::claimLane, the same call Runtime::takeJobAbove makes (best
+ * *effective* class under priority aging, strict nominal order without
+ * it) — and under the parking model an admission
  * issues the same wake Runtime::enqueueJob does (admissionWakeSocket
  * in sched/admission.h: one targeted socket, escalated to every parked
  * core while ShedCore::unparkPressure() stands), backed by the same

@@ -146,13 +146,16 @@ class PressureSensor
 class PressureBoard
 {
   public:
-    explicit PressureBoard(int sockets, int ewma_shift)
-        : _sockets(sockets), _shift(ewma_shift),
+    /** EWMA weight = 1/2^shift (2 == 1/4: a couple of epochs to
+     * converge, matched to the InterferenceCore hysteresis streaks). */
+    static constexpr int kEwmaShift = 2;
+
+    explicit PressureBoard(int sockets)
+        : _sockets(sockets),
           _ewma(new std::atomic<int64_t>[static_cast<std::size_t>(
               sockets > 0 ? sockets : 1)])
     {
         NUMAWS_ASSERT(sockets >= 1);
-        NUMAWS_ASSERT(ewma_shift >= 0 && ewma_shift < 16);
         for (int s = 0; s < _sockets; ++s)
             _ewma[s].store(kUnseeded, std::memory_order_relaxed);
     }
@@ -168,7 +171,7 @@ class PressureBoard
         do {
             next = prev == kUnseeded
                        ? permille
-                       : prev + ((permille - prev) >> _shift);
+                       : prev + ((permille - prev) >> kEwmaShift);
         } while (!cell.compare_exchange_weak(prev, next,
                                              std::memory_order_relaxed,
                                              std::memory_order_relaxed));
@@ -196,7 +199,6 @@ class PressureBoard
     static constexpr int64_t kUnseeded = -1;
 
     const int _sockets;
-    const int _shift;
     std::unique_ptr<std::atomic<int64_t>[]> _ewma;
 };
 

@@ -72,7 +72,7 @@ TEST(Pressure, PermilleIsLostWallShareGatedOnInvoluntarySwitches)
 
 TEST(Pressure, BoardSeedsOnFirstSampleThenDecaysByShift)
 {
-    PressureBoard board(2, /*ewma_shift=*/2);
+    PressureBoard board(2); // fixed EWMA weight 1/4
     EXPECT_EQ(board.pressure(0), 0); // unseeded reads calm
     board.publish(0, 800);
     EXPECT_EQ(board.pressure(0), 800); // first sample seeds, no blend
@@ -94,11 +94,10 @@ TEST(Pressure, BoardSeedsOnFirstSampleThenDecaysByShift)
 namespace {
 
 ServingPolicy
-adaptPolicy(int shrink_epochs = 2, int expand_epochs = 2)
+adaptPolicy(int expand_epochs = 2)
 {
     ServingPolicy p;
     p.interference = InterferencePolicy::Adapt;
-    p.interferenceShrinkEpochs = shrink_epochs;
     p.interferenceExpandEpochs = expand_epochs;
     return p;
 }
@@ -119,15 +118,15 @@ TEST(InterferenceCore, OffKnobNeverMovesTheTarget)
 
 TEST(InterferenceCore, ShrinkNeedsTheFullHotStreak)
 {
-    InterferenceCore core(adaptPolicy(/*shrink_epochs=*/3), 2);
-    EXPECT_FALSE(core.epochTick(0, 900, 8));
+    static_assert(InterferenceCore::kShrinkEpochs == 2,
+                  "test walks a two-epoch streak");
+    InterferenceCore core(adaptPolicy(), 2);
     EXPECT_FALSE(core.epochTick(0, 900, 8));
     EXPECT_TRUE(core.socketPressured(0)); // latched from the first hot
     EXPECT_EQ(core.retiredTarget(0), 0);  // ...but no retirement yet
     EXPECT_TRUE(core.epochTick(0, 900, 8));
     EXPECT_EQ(core.retiredTarget(0), 1);
     // One worker per completed streak, never a burst.
-    EXPECT_FALSE(core.epochTick(0, 900, 8));
     EXPECT_FALSE(core.epochTick(0, 900, 8));
     EXPECT_TRUE(core.epochTick(0, 900, 8));
     EXPECT_EQ(core.retiredTarget(0), 2);
@@ -136,13 +135,12 @@ TEST(InterferenceCore, ShrinkNeedsTheFullHotStreak)
 
 TEST(InterferenceCore, DeadBandResetsBothStreaks)
 {
-    ServingPolicy p = adaptPolicy(2, 2);
-    InterferenceCore core(p, 1);
+    InterferenceCore core(adaptPolicy(), 1);
     // Flicker: hot, dead band, hot, dead band ... never retires.
     for (int i = 0; i < 8; ++i) {
-        EXPECT_FALSE(core.epochTick(0, p.interferenceShrinkPermille, 8));
-        EXPECT_FALSE(
-            core.epochTick(0, p.interferenceShrinkPermille - 1, 8));
+        const int hot = InterferenceCore::kShrinkPermille;
+        EXPECT_FALSE(core.epochTick(0, hot, 8));
+        EXPECT_FALSE(core.epochTick(0, hot - 1, 8));
     }
     EXPECT_EQ(core.retiredTarget(0), 0);
     // The dead band holds whatever was already retired.
@@ -156,8 +154,8 @@ TEST(InterferenceCore, DeadBandResetsBothStreaks)
 
 TEST(InterferenceCore, ExpandUnwindsOneWorkerPerCoolStreak)
 {
-    InterferenceCore core(adaptPolicy(1, 2), 1);
-    for (int i = 0; i < 3; ++i)
+    InterferenceCore core(adaptPolicy(2), 1);
+    for (int i = 0; i < 3 * InterferenceCore::kShrinkEpochs; ++i)
         core.epochTick(0, 900, 8);
     EXPECT_EQ(core.retiredTarget(0), 3);
     EXPECT_FALSE(core.epochTick(0, 0, 8));
@@ -175,25 +173,28 @@ TEST(InterferenceCore, ExpandUnwindsOneWorkerPerCoolStreak)
     EXPECT_EQ(core.expands(), 3u);
 }
 
-TEST(InterferenceCore, FloorKeepsMinWorkersPerSocket)
+TEST(InterferenceCore, FloorKeepsTheLeaderRunning)
 {
-    ServingPolicy p = adaptPolicy(1, 1);
-    p.minWorkersPerSocket = 2;
-    InterferenceCore core(p, 1);
+    InterferenceCore core(adaptPolicy(1), 1);
     for (int i = 0; i < 20; ++i)
         core.epochTick(0, 1000, /*workersOnSocket=*/4);
-    EXPECT_EQ(core.retiredTarget(0), 2); // 4 workers - floor of 2
-    // Rank order: top ranks retire first, the leader (largest rank)
-    // never goes below the floor.
+    EXPECT_EQ(core.retiredTarget(0), 3); // 4 workers - the leader
+    // Rank order: top ranks retire first; the leader (largest rank)
+    // never retires, so its epoch ticks can always re-expand.
     EXPECT_TRUE(core.workerRetired(0, 0));
     EXPECT_TRUE(core.workerRetired(0, 1));
-    EXPECT_FALSE(core.workerRetired(0, 2));
+    EXPECT_TRUE(core.workerRetired(0, 2));
     EXPECT_FALSE(core.workerRetired(0, 3));
+    // A one-worker socket never retires at all.
+    InterferenceCore single(adaptPolicy(1), 1);
+    for (int i = 0; i < 20; ++i)
+        EXPECT_FALSE(single.epochTick(0, 1000, /*workersOnSocket=*/1));
+    EXPECT_EQ(single.retiredTarget(0), 0);
 }
 
 TEST(InterferenceCore, SteeringPrefersTheFirstCalmSocketUpward)
 {
-    InterferenceCore core(adaptPolicy(1, 1), 4);
+    InterferenceCore core(adaptPolicy(1), 4);
     core.epochTick(1, 900, 8); // socket 1 pressured
     core.epochTick(2, 900, 8); // socket 2 pressured
     EXPECT_EQ(core.steerSocket(0), 0); // calm: identity
@@ -220,13 +221,12 @@ TEST(InterferenceRuntime, WorkersRetireUnderPressureAndReinstateOnDecay)
     o.numPlaces = 1;
     o.sched.serving.interference = InterferencePolicy::Adapt;
     o.sched.serving.pressureEpochUs = 2000;
-    o.sched.serving.interferenceShrinkEpochs = 1;
     o.sched.serving.interferenceExpandEpochs = 2;
     Runtime rt(o);
 
     // Phase 1: flood the socket EWMA with saturated pressure. The place
     // leader's epoch ticks read the board and must retire the top-rank
-    // worker (one worker stays: the minWorkersPerSocket floor).
+    // worker (the leader stays: the one-worker-per-socket floor).
     std::atomic<bool> stop_flood{false};
     std::thread flood([&] {
         while (!stop_flood.load(std::memory_order_acquire)) {
@@ -351,7 +351,6 @@ interferenceCfg(InterferencePolicy knob)
     // 2us epochs = ~4.4k cycles: dozens of ladder ticks inside one
     // ~300k-cycle run, so shrink and re-expand both happen in-window.
     cfg.sched.serving.pressureEpochUs = 2;
-    cfg.sched.serving.interferenceShrinkEpochs = 2;
     cfg.sched.serving.interferenceExpandEpochs = 2;
     return cfg;
 }

@@ -100,7 +100,6 @@ TEST(ShedCore, DelayEwmaSeedsThenConvergesAndFlagsOverload)
     ServingPolicy p;
     p.shed = ShedPolicy::QueueDelay;
     p.queueDelayTargetUs[0] = 100; // 100us target on the latency class
-    p.queueDelayEwmaShift = 2;     // weight 1/4 for a fast test
     ShedCore core(p);
     EXPECT_EQ(core.delayEwmaNs(0), 0);
     EXPECT_FALSE(core.overloaded());

@@ -13,6 +13,10 @@
  * reintroduces an engine-side policy branch (the pre-PR 4 disease),
  * the traces diverge here before any bench gate can drift.
  *
+ * The ShedCore claim-lane parity test locks the serving side of the
+ * same contract: both engines' claim loops pick their lane through
+ * ShedCore::claimLane, checked here exhaustively against brute force.
+ *
  * Runs under ASan/UBSan in CI's sanitizer job.
  */
 #include <gtest/gtest.h>
@@ -22,6 +26,7 @@
 #include <vector>
 
 #include "sched/policy.h"
+#include "sched/shed_core.h"
 #include "sched/steal_core.h"
 #include "topology/machine.h"
 #include "topology/steal_distribution.h"
@@ -220,7 +225,7 @@ replay(bool threaded_shape, const SchedPolicy &policy, int self,
        uint64_t seed, int steps, StealCoreCounters *counters_out)
 {
     const Machine machine = Machine::paperMachineSubset(16);
-    StealDistribution dist(machine, 16, policy.biasWeights);
+    StealDistribution dist(machine, 16, policy.biasWeights());
     MockWorld world(dist);
     StealCore core(policy, EngineView{&dist, &world.board}, self,
                    dist.socketOfWorker(self), seed);
@@ -337,7 +342,7 @@ TEST(StealCorePark, EwmaTuningMovesTheCoreTimeout)
 {
     SchedPolicy p;
     const Machine machine = Machine::paperMachineSubset(8);
-    StealDistribution dist(machine, 8, p.biasWeights);
+    StealDistribution dist(machine, 8, p.biasWeights());
     OccupancyBoard board(8, dist.workerSockets());
     StealCore core(p, EngineView{&dist, &board}, 0, 0, 1);
     EXPECT_DOUBLE_EQ(core.parkTimeoutUs(), p.parkFallbackUs);
@@ -354,7 +359,7 @@ TEST(StealCorePark, SpinBudgetGovernsParkRequests)
     SchedPolicy p;
     p.parkSpinFailures = 3;
     const Machine machine = Machine::paperMachineSubset(8);
-    StealDistribution dist(machine, 8, p.biasWeights);
+    StealDistribution dist(machine, 8, p.biasWeights());
     OccupancyBoard board(8, dist.workerSockets());
     StealCore core(p, EngineView{&dist, &board}, 0, 0, 1);
     core.noteFruitless();
@@ -370,6 +375,77 @@ TEST(StealCorePark, SpinBudgetGovernsParkRequests)
     core.noteFruitless();
     core.noteFruitless();
     EXPECT_FALSE(core.takeParkRequest());
+}
+
+// ---------------------------------------------------------------------
+// ShedCore::claimLane parity: the one claim-lane decision
+// ---------------------------------------------------------------------
+
+/**
+ * Every nonempty-lane mask x every @p below in 0..3 x head waits on
+ * both sides of each aging step. Aging off must reproduce the strict
+ * nominal scan; aging on must pick the brute-force lowest effective
+ * class (nominal order breaking ties); `promoted` is set exactly when
+ * aging, not nominal rank, won.
+ */
+TEST(ShedCoreClaimLane, MatchesStrictScanAndBruteForceAging)
+{
+    constexpr int kLanes = kNumServingClasses;
+    constexpr int kAgingUs = 100;
+    constexpr int64_t kStep = int64_t{kAgingUs} * 1000;
+    const int64_t waits[] = {0,         1,         kStep - 1, kStep,
+                             kStep + 1, 2 * kStep - 1, 2 * kStep,
+                             9 * kStep};
+    constexpr int kWaits = sizeof(waits) / sizeof(waits[0]);
+
+    ServingPolicy aging_policy;
+    aging_policy.agingWaitUs = kAgingUs;
+    const ShedCore off{ServingPolicy{}};
+    const ShedCore on{aging_policy};
+
+    int cases = 0, promotions = 0;
+    for (int mask = 1; mask < (1 << kLanes); ++mask) {
+        for (int code = 0; code < kWaits * kWaits * kWaits; ++code) {
+            int64_t head_wait[kLanes];
+            for (int c = 0, rest = code; c < kLanes; ++c, rest /= kWaits)
+                head_wait[c] = (mask >> c & 1) ? waits[rest % kWaits] : -1;
+            for (int below = 0; below <= kLanes; ++below) {
+                ++cases;
+                // Aging off: the first nonempty lane strictly below.
+                int strict = -1;
+                for (int c = 0; c < below && strict < 0; ++c)
+                    if (head_wait[c] >= 0)
+                        strict = c;
+                bool promoted = true;
+                EXPECT_EQ(off.claimLane(head_wait, below, &promoted),
+                          strict);
+                EXPECT_FALSE(promoted);
+
+                // Aging on: brute-force lowest effective class.
+                int best = -1, best_eff = below;
+                for (int c = 0; c < kLanes; ++c) {
+                    if (head_wait[c] < 0)
+                        continue;
+                    const int64_t steps = head_wait[c] / kStep;
+                    const int eff =
+                        steps >= c ? 0 : c - static_cast<int>(steps);
+                    if (eff < best_eff) {
+                        best_eff = eff;
+                        best = c;
+                    }
+                }
+                EXPECT_EQ(on.claimLane(head_wait, below, &promoted), best)
+                    << "mask=" << mask << " code=" << code
+                    << " below=" << below;
+                EXPECT_EQ(promoted, best >= 0 && best_eff < best);
+                promotions += promoted;
+                // The out-pointer is optional.
+                EXPECT_EQ(on.claimLane(head_wait, below, nullptr), best);
+            }
+        }
+    }
+    EXPECT_EQ(cases, 7 * kWaits * kWaits * kWaits * (kLanes + 1));
+    EXPECT_GT(promotions, 0);
 }
 
 } // namespace

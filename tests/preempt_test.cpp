@@ -171,17 +171,21 @@ TEST(UnparkPressure, FiresAtTheConfiguredFractionOfTheShedTarget)
     ServingPolicy p;
     p.shed = ShedPolicy::QueueDelay;
     p.queueDelayTargetUs[0] = 100; // 100us target
-    p.queueDelayEwmaShift = 0;     // EWMA == last observation
     p.unparkLeadPct = 50;          // pressure at 50us
     ShedCore core(p);
+    // Repeated observations walk the 1/8-weight EWMA to each level.
+    const auto settle = [&core](int64_t delay_ns) {
+        for (int i = 0; i < 64; ++i)
+            core.observeDelay(0, delay_ns);
+    };
     EXPECT_FALSE(core.unparkPressure());
     core.observeDelay(0, 40'000);
     EXPECT_FALSE(core.unparkPressure()); // 40us < 50us lead point
     EXPECT_FALSE(core.overloaded());
-    core.observeDelay(0, 60'000);
+    settle(60'000);
     EXPECT_TRUE(core.unparkPressure()); // past the lead point...
     EXPECT_FALSE(core.overloaded());    // ...but not yet shedding
-    core.observeDelay(0, 200'000);
+    settle(200'000);
     EXPECT_TRUE(core.unparkPressure());
     EXPECT_TRUE(core.overloaded()); // pressure precedes the crossing
 }

@@ -256,18 +256,14 @@ TEST(RuntimeNuma, FibMatchesSerialUnderShippedAndPaperPolicies)
     const int n = 18;
     const uint64_t expected = workloads::fibSerial(n);
     for (const bool paper : {false, true}) {
-        for (const int mailbox_capacity : {1, 2}) {
-            RuntimeOptions o;
-            o.numWorkers = 3;
-            o.numPlaces = 3;
-            if (paper)
-                o.sched = SchedPolicy::paperBaseline();
-            o.sched.mailboxCapacity = mailbox_capacity;
-            Runtime rt(o);
-            EXPECT_EQ(workloads::fibParallel(rt, n, 10), expected)
-                << "paper=" << paper
-                << " mailboxCapacity=" << mailbox_capacity;
-        }
+        RuntimeOptions o;
+        o.numWorkers = 3;
+        o.numPlaces = 3;
+        if (paper)
+            o.sched = SchedPolicy::paperBaseline();
+        Runtime rt(o);
+        EXPECT_EQ(workloads::fibParallel(rt, n, 10), expected)
+            << "paper=" << paper;
     }
 }
 

@@ -3,12 +3,17 @@
  * Empirical checks of the Section IV guarantees on the simulated
  * scheduler: TP <= T1/P + c*Tinf, steals bounded by O(P * Tinf), and the
  * pushback amortization (pushes bounded per successful steal). These are
- * property-style sweeps over randomized fork-join dags and core counts.
+ * property-style sweeps over randomized fork-join dags and core counts,
+ * plus a serving-mode seed sweep with every serving knob on that uses
+ * the deterministic simulator as a cheap model checker for the job
+ * accounting invariants.
  */
 #include <gtest/gtest.h>
 
 #include "sim/scheduler.h"
+#include "sim/serving.h"
 #include "support/rng.h"
+#include "workloads/workloads.h"
 
 namespace numaws::sim {
 namespace {
@@ -175,66 +180,41 @@ hintedDag(uint64_t seed)
 }
 
 /**
- * Section IV's top-heavy-deques argument, re-checked with batched
- * mailboxes (capacity > 1). The argument needs (a) every frame's
- * PUSHBACK attempts bounded by the pushing threshold regardless of how
- * many frames can park per worker, and (b) the greedy execution-time
- * bound surviving, since up to capacity frames per worker now bypass
- * the deques. Capacity scales the number of frames in flight through
- * mailboxes — visible as more mailbox deliveries — but both bounds'
- * *shapes* must hold unchanged at capacity 1 and 4.
+ * Section IV's top-heavy-deques argument on a place-hinted dag, where
+ * PUSHBACK parks frames in the single-entry mailboxes. The argument
+ * needs (a) every frame's PUSHBACK attempts bounded by the pushing
+ * threshold, so pushing amortizes against acquisitions, and (b) the
+ * greedy execution-time bound surviving frames that bypass the deques.
  */
-TEST(SchedulerBounds, MailboxCapacityPreservesSectionFourBounds)
+TEST(SchedulerBounds, MailboxPushbackPreservesSectionFourBounds)
 {
     for (const uint64_t seed : {1ULL, 5ULL}) {
         const ComputationDag dag = hintedDag(seed);
         const Machine m = Machine::paperMachine();
         const WorkSpan ws = dag.workSpan(8.0, 2.0);
-        for (const int capacity : {1, 4}) {
-            SimConfig cfg = SimConfig::numaWs();
-            cfg.seed = seed;
-            cfg.sched.mailboxCapacity = capacity;
-            const SimResult r = simulate(dag, m, 16, cfg);
+        SimConfig cfg = SimConfig::numaWs();
+        cfg.seed = seed;
+        const SimResult r = simulate(dag, m, 16, cfg);
 
-            // (a) Push attempts amortize: each push-triggering event
-            // (steal, mailbox delivery, resume) pays at most
-            // pushThreshold attempts, and the number of such events per
-            // successful acquisition is a constant — independent of the
-            // mailbox capacity.
-            const double acquisitions = static_cast<double>(
-                r.counters.steals + r.counters.mailboxSteals
-                + r.counters.mailboxPops + r.counters.resumes);
-            const double limit =
-                2.0 * cfg.sched.pushThreshold * acquisitions
-                + 2.0 * cfg.sched.pushThreshold;
-            EXPECT_LE(static_cast<double>(r.counters.pushAttempts),
-                      limit)
-                << "capacity=" << capacity << " seed=" << seed;
+        // (a) Push attempts amortize: each push-triggering event
+        // (steal, mailbox delivery, resume) pays at most pushThreshold
+        // attempts, and the number of such events per successful
+        // acquisition is a constant.
+        const double acquisitions = static_cast<double>(
+            r.counters.steals + r.counters.mailboxSteals
+            + r.counters.mailboxPops + r.counters.resumes);
+        const double limit = 2.0 * cfg.sched.pushThreshold * acquisitions
+                             + 2.0 * cfg.sched.pushThreshold;
+        EXPECT_LE(static_cast<double>(r.counters.pushAttempts), limit)
+            << "seed=" << seed;
 
-            // (b) The greedy bound survives frames bypassing the deque.
-            EXPECT_LE(r.elapsedCycles, ws.work / 16 + 40.0 * ws.span)
-                << "capacity=" << capacity << " seed=" << seed;
+        // (b) The greedy bound survives frames bypassing the deque.
+        EXPECT_LE(r.elapsedCycles, ws.work / 16 + 40.0 * ws.span)
+            << "seed=" << seed;
 
-            // Sanity: the knob is live — capacity 4 must be able to
-            // park frames (deliveries counted via pops + steals).
-            EXPECT_GT(r.counters.mailboxPops + r.counters.mailboxSteals,
-                      0u)
-                << "capacity=" << capacity;
-        }
+        // Sanity: frames really were parked and delivered.
+        EXPECT_GT(r.counters.mailboxPops + r.counters.mailboxSteals, 0u);
     }
-}
-
-TEST(SchedulerBounds, MailboxCapacityDoesNotChangeTheWorkTerm)
-{
-    // Batching changes *where* frames wait, never what executes.
-    const ComputationDag dag = hintedDag(9);
-    SimConfig one = SimConfig::numaWs();
-    SimConfig four = SimConfig::numaWs();
-    four.sched.mailboxCapacity = 4;
-    const SimResult r1 = simulate(dag, Machine::paperMachine(), 16, one);
-    const SimResult r4 = simulate(dag, Machine::paperMachine(), 16, four);
-    EXPECT_EQ(r1.counters.strandsExecuted, r4.counters.strandsExecuted);
-    EXPECT_EQ(r1.counters.spawns, r4.counters.spawns);
 }
 
 TEST(SchedulerBounds, WorkFirstOverheadOnWorkTermIsSmall)
@@ -248,6 +228,92 @@ TEST(SchedulerBounds, WorkFirstOverheadOnWorkTermIsSmall)
     const double t1 =
         simulate(dag, m, 1, SimConfig::numaWs()).elapsedCycles;
     EXPECT_LT(t1 / ts, 1.05);
+}
+
+/**
+ * Serving-mode invariant sweep: QueueDelay shedding, preemption, aging,
+ * shed-aware unpark and interference adaptation all on, under a
+ * co-runner trace, with deadlines and cancels sprinkled in. Per seed:
+ * every job resolves exactly once, the shed jobs are a subset of the
+ * rejected ones, and a rerun reproduces every tally and percentile.
+ */
+TEST(SimServingSweep, AllKnobsOnResolveEveryJobOnceAndRerunIdentically)
+{
+    constexpr int kJobs = 96;
+    constexpr int kCores = 16;
+    InterferenceTrace trace; // half of socket 0 squeezed mid-run
+    trace.intervals.push_back({30e3, 150e3, 0, 4, 500});
+    SimConfig cfg;
+    cfg.modelParking = true;
+    cfg.sched.parkSpinFailures = 4;
+    ServingPolicy &sp = cfg.sched.serving;
+    sp.shed = ShedPolicy::QueueDelay;
+    for (int c = 0; c < kNumServingClasses; ++c)
+        sp.queueDelayTargetUs[c] = 10;
+    sp.preempt = true;
+    sp.agingWaitUs = 20;
+    sp.unparkLeadPct = 50;
+    sp.interference = InterferencePolicy::Adapt;
+    sp.pressureEpochUs = 2;
+    cfg.interference = &trace;
+
+    uint64_t shed = 0, yields = 0, aged = 0, retires = 0, unrun = 0;
+    int unpark_leads = 0;
+    ComputationDag dag;
+    std::vector<FrameId> roots;
+    for (int i = 0; i < kJobs; ++i)
+        roots.push_back(dag.append(workloads::fibDag(10)));
+    for (uint64_t seed = 1; seed <= 16; ++seed) {
+        ArrivalProcess arrivals;
+        arrivals.ratePerSec = 1e6; // ~2x the 16-core capacity
+        arrivals.seed = seed;
+        const std::vector<double> at = arrivalCycles(arrivals, kJobs, 2.2);
+        Rng rng(seed);
+        std::vector<SimJob> jobs(kJobs);
+        for (int i = 0; i < kJobs; ++i) {
+            SimJob &job = jobs[static_cast<std::size_t>(i)];
+            job.root = roots[static_cast<std::size_t>(i)];
+            job.arrivalCycles = at[static_cast<std::size_t>(i)];
+            job.cls = static_cast<int>(rng.nextBounded(3));
+            if (rng.nextBounded(8) == 0)
+                job.deadlineCycles = job.arrivalCycles + 20e3;
+            if (rng.nextBounded(16) == 0)
+                job.cancelAtCycles = job.arrivalCycles + 5e3;
+        }
+        cfg.seed = seed;
+
+        const ServingResult a =
+            simulateServingPacked(dag, jobs, kCores, cfg);
+        EXPECT_EQ(a.done + a.expired + a.cancelled + a.rejected,
+                  jobs.size())
+            << "seed=" << seed;
+        EXPECT_LE(a.shed, a.rejected) << "seed=" << seed;
+        // A rerun repeats every tally and (bitwise) every percentile.
+        const auto tallies = [](const ServingResult &r) {
+            return std::vector<double>{
+                double(r.done),     double(r.expired),  double(r.cancelled),
+                double(r.rejected), double(r.shed),     r.p50Us,
+                r.p99Us,            r.p999Us,           r.queueP50Us,
+                r.queueP99Us,       r.goodputPerSec,    r.sim.elapsedCycles};
+        };
+        EXPECT_EQ(tallies(a),
+                  tallies(simulateServingPacked(dag, jobs, kCores, cfg)))
+            << "seed=" << seed;
+
+        shed += a.shed;
+        yields += a.sim.counters.yields;
+        aged += a.sim.counters.agedClaims;
+        retires += a.sim.counters.interferenceRetires;
+        unrun += a.expired + a.cancelled;
+        unpark_leads += a.sim.firstUnparkPressureCycles > 0;
+    }
+    // The sweep is only a check if every knob actually fired somewhere.
+    EXPECT_GT(shed, 0u);
+    EXPECT_GT(yields, 0u);
+    EXPECT_GT(aged, 0u);
+    EXPECT_GT(retires, 0u);
+    EXPECT_GT(unrun, 0u);
+    EXPECT_GT(unpark_leads, 0);
 }
 
 } // namespace
