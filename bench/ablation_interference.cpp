@@ -18,6 +18,10 @@
  *    must fully re-expand mid-run and the post-storm bursts run on
  *    the whole socket again.
  *
+ * The open-loop driver (job mixes, arrivals, the tally, threaded runs and
+ * calibration) is serving_driver.h; this file holds the burst schedule, co-
+ * runner squeeze and gates.
+ *
  *   ./ablation_interference [--scale=0.25] [--cores=32] [--seeds=3]
  *                           [--seed=first] [--reps=2] [--skip-threaded]
  *                           [--json=BENCH_interference.json]
@@ -39,17 +43,14 @@
  *     full strength after the co-runners exit.
  */
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "bench_common.h"
+#include "serving_driver.h"
 #include "sim/interference.h"
-#include "sim/serving.h"
-#include "topology/affinity.h"
 
 using namespace numaws;
 using namespace numaws::bench;
@@ -101,10 +102,52 @@ traceFor(int kind)
     return tr;
 }
 
-sim::ServingResult
-runSimScenario(const sim::ComputationDag &dag,
-               const std::vector<sim::SimJob> &jobs, int cores,
-               uint64_t seed, bool adapt,
+/** One interference row of either engine, up to the tally; the caller
+ * appends the engine's retire/re-expand counters. */
+JsonRow
+interferenceRow(const char *engine, const char *scenario,
+                const char *knob, const char *trace, int corunners,
+                int cores_or_workers, uint64_t seed,
+                const ServingTally &t)
+{
+    JsonRow row;
+    row.set("engine", engine)
+        .set("workload", "interference_serve")
+        .set("scenario", scenario)
+        .set("interference", knob)
+        .set("trace", trace)
+        .set("corunners", corunners)
+        .set(std::string(engine) == "sim" ? "cores" : "workers",
+             cores_or_workers)
+        .set("seed", seed);
+    return t.put(row, {"jobs", "elapsed_s", "p99_us", "queue_p99_us",
+                       "goodput", "done"});
+}
+
+/** A sim run and its tally. */
+struct SimRun
+{
+    sim::ServingResult r;
+    ServingTally tally;
+
+    /** The row, rendered before provenance stamping so the
+     * byte-determinism gates can compare raw bytes. */
+    JsonRow
+    row(const SimScenario &sc, int cores, uint64_t seed) const
+    {
+        const sim::SimCounters &c = r.sim.counters;
+        return interferenceRow("sim", sc.name, sc.adapt ? "adapt" : "off",
+                               traceName(sc.trace), 0, cores, seed, tally)
+            .set("retires", c.interferenceRetires)
+            .set("reexpands", c.interferenceReexpands)
+            .set("stolen_cycles", c.stolenCycles)
+            .set("slowed_cycles", c.slowedCycles);
+    }
+};
+
+SimRun
+runSimScenario(const SimJobMix &mix, const std::vector<sim::SimJob> &jobs,
+               int cores, uint64_t seed, bool adapt,
                const sim::InterferenceTrace *trace)
 {
     sim::SimConfig cfg;
@@ -116,54 +159,11 @@ runSimScenario(const sim::ComputationDag &dag,
     // epochs per burst gap, so the ladder converges well inside the
     // storm's first burst.
     cfg.sched.serving.pressureEpochUs = 2;
-    return sim::simulateServingPacked(dag, jobs, cores, cfg);
-}
-
-/** One interference row, rendered before provenance stamping so the
- * byte-determinism gates can compare raw bytes. */
-JsonRow
-interferenceRow(const char *engine, const char *scenario,
-                const char *knob, const char *trace, int corunners,
-                int cores_or_workers, uint64_t seed, std::size_t jobs,
-                double elapsed_s, double p99_us, double queue_p99_us,
-                double goodput, uint64_t done, uint64_t retires,
-                uint64_t reexpands, uint64_t stolen_cycles,
-                uint64_t slowed_cycles)
-{
-    JsonRow row;
-    row.set("engine", engine)
-        .set("workload", "interference_serve")
-        .set("scenario", scenario)
-        .set("interference", knob)
-        .set("trace", trace)
-        .set("corunners", corunners)
-        .set(std::string(engine) == "sim" ? "cores" : "workers",
-             cores_or_workers)
-        .set("seed", seed)
-        .set("jobs", static_cast<uint64_t>(jobs))
-        .set("elapsed_s", elapsed_s)
-        .set("p99_us", p99_us)
-        .set("queue_p99_us", queue_p99_us)
-        .set("goodput", goodput)
-        .set("done", done)
-        .set("retires", retires)
-        .set("reexpands", reexpands)
-        .set("stolen_cycles", stolen_cycles)
-        .set("slowed_cycles", slowed_cycles);
-    return row;
-}
-
-JsonRow
-simRow(const SimScenario &sc, int cores, uint64_t seed,
-       const sim::ServingResult &r)
-{
-    return interferenceRow(
-        "sim", sc.name, sc.adapt ? "adapt" : "off", traceName(sc.trace),
-        0, cores, seed, r.jobs.size(), r.sim.elapsedSeconds, r.p99Us,
-        r.queueP99Us, r.goodputPerSec, r.done,
-        r.sim.counters.interferenceRetires,
-        r.sim.counters.interferenceReexpands, r.sim.counters.stolenCycles,
-        r.sim.counters.slowedCycles);
+    SimRun run;
+    run.r = sim::simulateServingPacked(mix.dag, jobs, cores, cfg);
+    run.tally = ServingTally(
+        run.r, mix.classes, Machine::paperMachineSubset(cores).ghz(), 0.0);
+    return run;
 }
 
 // ---------------------------------------------------------------------
@@ -187,82 +187,19 @@ submitSerialJob(Runtime &rt, int i)
     }, opts);
 }
 
-/** Busy-loop co-runner pinned to @p cpu until @p stop. Plain spinning
- * at default priority — the squeeze is the kernel's fair time-slicing,
- * exactly what the pressure sensor is built to notice. */
-void
-corunnerLoop(int cpu, const std::atomic<bool> &stop)
+/** Open-loop serial-job stream on @p rt under a running squeeze. The
+ * warm-up lets the squeeze register: a few pressure epochs under load
+ * so an adapting runtime has converged before the measured stream. */
+ServingTally
+runSqueezed(Runtime &rt, double rate, int jobs, uint64_t seed)
 {
-    pinCurrentThread(cpu);
-    volatile uint64_t x = 0;
-    while (!stop.load(std::memory_order_relaxed))
-        ++x;
-}
-
-struct ThreadedRun
-{
-    double elapsed_s = 0.0;
-    double p99_us = 0.0;
-    double queue_p99_us = 0.0;
-    double goodput = 0.0;
-    uint64_t done = 0, other = 0;
-    uint64_t retires = 0, reinstates = 0;
-    bool reexpanded = true; ///< retired gauge back to 0 post-storm
-};
-
-ThreadedRun
-runThreadedStream(Runtime &rt, const std::vector<double> &arrival_ns,
-                  bool expect_reexpand)
-{
-    std::atomic<bool> stop{false};
-    std::vector<std::thread> corunners;
-    for (int i = 0; i < kCorunners; ++i)
-        corunners.emplace_back(corunnerLoop, kSqueezedCpu,
-                               std::cref(stop));
-    // Let the squeeze register: a few pressure epochs under load so an
-    // adapting runtime has converged before the measured stream.
-    for (int i = 1; i <= 8; ++i)
-        submitSerialJob(rt, i).wait();
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    rt.resetStats();
-
-    PacedRun run = runPaced(arrival_ns, [&](std::size_t i) {
-        return submitSerialJob(rt, static_cast<int>(i));
-    });
-    std::vector<JobHandle> &handles = run.handles;
-
-    ThreadedRun r;
-    r.elapsed_s = run.elapsed_s;
-    std::vector<double> lat_us, queue_us;
-    for (JobHandle &h : handles) {
-        if (h.outcome() == JobOutcome::Done) {
-            ++r.done;
-            lat_us.push_back(static_cast<double>(h.latencyNs()) / 1000.0);
-            queue_us.push_back(static_cast<double>(h.queueNs()) / 1000.0);
-        } else {
-            ++r.other;
-        }
-    }
-    r.p99_us = exactQuantile(lat_us, 0.99);
-    r.queue_p99_us = exactQuantile(queue_us, 0.99);
-    r.goodput = static_cast<double>(r.done) / r.elapsed_s;
-
-    stop.store(true, std::memory_order_relaxed);
-    for (std::thread &t : corunners)
-        t.join();
-
-    // Post-storm: with the co-runners gone the probe epoch reads calm
-    // and the cool streak must reinstate every retired worker.
-    if (expect_reexpand) {
-        const int64_t deadline = nowNs() + 30'000'000'000LL;
-        while (rt.retiredWorkers() > 0 && nowNs() < deadline)
-            std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        r.reexpanded = rt.retiredWorkers() == 0;
-    }
-    const RuntimeStats s = rt.stats();
-    r.retires = s.counters.interferenceRetires;
-    r.reinstates = s.counters.interferenceReinstates;
-    return r;
+    const auto warm = [&rt] {
+        for (int i = 1; i <= 8; ++i)
+            submitSerialJob(rt, i).wait();
+        std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    };
+    const auto submit = [&rt](int i) { return submitSerialJob(rt, i); };
+    return runOpenLoop(rt, rate, jobs, seed, warm, submit).tally;
 }
 
 } // namespace
@@ -271,16 +208,8 @@ int
 main(int argc, char **argv)
 {
     const Cli cli(argc, argv);
-    const BenchArgs args(cli);
-    const std::string json_path =
-        cli.getString("json", "BENCH_interference.json");
-    const uint64_t first_seed =
-        static_cast<uint64_t>(cli.getInt("seed", 0x5eed));
-    const int num_seeds =
-        std::max(1, static_cast<int>(cli.getInt("seeds", 3)));
-    const int reps =
-        std::max(1, static_cast<int>(cli.getInt("reps", 2)));
-    const bool skip_threaded = cli.getBool("skip-threaded", false);
+    const ServingArgs args(cli, "BENCH_interference.json", /*reps=*/2,
+                           /*threads=*/0);
     const int bursts = args.scale >= 1.0 ? 12 : 6;
     const int sim_jobs = kBurstJobs * bursts;
 
@@ -288,14 +217,14 @@ main(int argc, char **argv)
     bool ok = true;
 
     // ---- Simulated rows + deterministic gates ----
-    sim::ComputationDag dag;
-    std::vector<sim::FrameId> roots;
+    SimJobMix mix;
+    std::vector<double> at;
     const auto body = fibDag(1, kJobCycles); // one serial strand
-    for (int i = 0; i < sim_jobs; ++i)
-        roots.push_back(dag.append(body));
-    std::vector<sim::SimJob> jobs(sim_jobs);
-    for (int i = 0; i < sim_jobs; ++i)
-        jobs[i] = {roots[i], (i / kBurstJobs) * kBurstGapCycles, i % 3};
+    for (int i = 0; i < sim_jobs; ++i) {
+        mix.add(body, i % 3);
+        at.push_back((i / kBurstJobs) * kBurstGapCycles);
+    }
+    const std::vector<sim::SimJob> jobs = mix.jobsAt(at);
 
     const SimScenario scenarios[] = {
         {"calm", false, 0},
@@ -320,35 +249,26 @@ main(int argc, char **argv)
         const sim::InterferenceTrace tr = traceFor(sc.trace);
         const sim::InterferenceTrace *trp =
             sc.trace == 0 ? nullptr : &tr;
+        const double n = args.num_seeds;
         double elapsed = 0.0, p99 = 0.0;
         double retires = 0.0, reexp = 0.0, stolen = 0.0, slowed = 0.0;
-        for (int s = 0; s < num_seeds; ++s) {
-            const uint64_t seed = first_seed + 7919ULL * s;
-            sim::ServingResult r = runSimScenario(
-                dag, jobs, args.cores, seed, sc.adapt, trp);
-            report.addRow(simRow(sc, args.cores, seed, r));
-            elapsed += r.sim.elapsedCycles / num_seeds;
-            p99 += r.p99Us / num_seeds;
-            retires += static_cast<double>(
-                           r.sim.counters.interferenceRetires)
-                       / num_seeds;
-            reexp += static_cast<double>(
-                         r.sim.counters.interferenceReexpands)
-                     / num_seeds;
-            stolen += static_cast<double>(r.sim.counters.stolenCycles)
-                      / num_seeds;
-            slowed += static_cast<double>(r.sim.counters.slowedCycles)
-                      / num_seeds;
-            results[i].push_back(std::move(r));
+        for (int s = 0; s < args.num_seeds; ++s) {
+            const uint64_t seed = args.seed(s);
+            SimRun run =
+                runSimScenario(mix, jobs, args.cores, seed, sc.adapt, trp);
+            report.addRow(run.row(sc, args.cores, seed));
+            const sim::SimCounters &c = run.r.sim.counters;
+            elapsed += run.r.sim.elapsedCycles / n;
+            p99 += run.tally.p99_us / n;
+            retires += static_cast<double>(c.interferenceRetires) / n;
+            reexp += static_cast<double>(c.interferenceReexpands) / n;
+            stolen += static_cast<double>(c.stolenCycles) / n;
+            slowed += static_cast<double>(c.slowedCycles) / n;
+            results[i].push_back(std::move(run.r));
         }
         t.addRow({sc.name, sc.adapt ? "adapt" : "off",
-                  std::to_string(static_cast<int64_t>(
-                      elapsed / 2.2e6 * 1000.0)),
-                  std::to_string(static_cast<int64_t>(p99)),
-                  std::to_string(static_cast<int64_t>(retires)),
-                  std::to_string(static_cast<int64_t>(reexp)),
-                  std::to_string(static_cast<int64_t>(stolen / 1e3)),
-                  std::to_string(static_cast<int64_t>(slowed / 1e3))});
+                  cell(elapsed / 2.2e6 * 1000.0), cell(p99), cell(retires),
+                  cell(reexp), cell(stolen / 1e3), cell(slowed / 1e3)});
     }
     t.print();
 
@@ -357,62 +277,43 @@ main(int argc, char **argv)
     double worst_elapsed_ratio = 0.0, worst_p99_ratio = 0.0;
     double min_retires = 1e30, min_stolen = 1e30, min_slowed = 1e30;
     double min_window_margin = 1e30;
-    for (int s = 0; s < num_seeds; ++s) {
+    for (int s = 0; s < args.num_seeds; ++s) {
         const sim::ServingResult &off = results[1][s];
         const sim::ServingResult &adapt = results[2][s];
+        const sim::SimCounters &c = adapt.sim.counters;
+        const sim::SimCounters &win = results[3][s].sim.counters;
         worst_elapsed_ratio =
             std::max(worst_elapsed_ratio,
                      adapt.sim.elapsedCycles / off.sim.elapsedCycles);
         worst_p99_ratio =
             std::max(worst_p99_ratio, adapt.p99Us / off.p99Us);
-        min_retires = std::min(
-            min_retires, static_cast<double>(
-                             adapt.sim.counters.interferenceRetires));
-        min_stolen = std::min(
-            min_stolen,
-            static_cast<double>(adapt.sim.counters.stolenCycles));
-        min_slowed = std::min(
-            min_slowed,
-            static_cast<double>(adapt.sim.counters.slowedCycles));
-        const sim::ServingResult &win = results[3][s];
+        min_retires = std::min<double>(min_retires, c.interferenceRetires);
+        min_stolen = std::min<double>(min_stolen, c.stolenCycles);
+        min_slowed = std::min<double>(min_slowed, c.slowedCycles);
         min_window_margin = std::min(
             min_window_margin,
-            static_cast<double>(win.sim.counters.interferenceReexpands)
-                - static_cast<double>(
-                    win.sim.counters.interferenceRetires));
+            static_cast<double>(win.interferenceReexpands)
+                - static_cast<double>(win.interferenceRetires));
     }
 
     // Byte-compat: the off knob with an *empty* trace must replay the
     // no-trace schedule bit for bit (the hooks run, with nothing to
     // charge), and an adapting storm must replay itself exactly.
     {
+        const auto row = [&](const SimScenario &sc,
+                             const sim::InterferenceTrace *trace) {
+            return runSimScenario(mix, jobs, args.cores, args.first_seed,
+                                  sc.adapt, trace)
+                .row(sc, args.cores, args.first_seed);
+        };
         const sim::InterferenceTrace empty;
-        const SimScenario calm = scenarios[0];
-        const sim::ServingResult null_run = runSimScenario(
-            dag, jobs, args.cores, first_seed, false, nullptr);
-        const sim::ServingResult empty_run = runSimScenario(
-            dag, jobs, args.cores, first_seed, false, &empty);
-        const bool same_empty =
-            simRow(calm, args.cores, first_seed, null_run).str()
-            == simRow(calm, args.cores, first_seed, empty_run).str();
-        std::printf("  gate %-52s %s\n",
-                    "sim empty trace byte-identical to no trace",
-                    same_empty ? "ok" : "FAIL");
-        ok &= same_empty;
-
+        ok &= gateIdentical("sim empty trace byte-identical to no trace",
+                            row(scenarios[0], nullptr),
+                            row(scenarios[0], &empty));
         const sim::InterferenceTrace storm = traceFor(1);
-        const SimScenario sc = scenarios[2];
-        const sim::ServingResult a = runSimScenario(
-            dag, jobs, args.cores, first_seed, true, &storm);
-        const sim::ServingResult b = runSimScenario(
-            dag, jobs, args.cores, first_seed, true, &storm);
-        const bool same_adapt =
-            simRow(sc, args.cores, first_seed, a).str()
-            == simRow(sc, args.cores, first_seed, b).str();
-        std::printf("  gate %-52s %s\n",
-                    "sim adapt storm rows byte-identical",
-                    same_adapt ? "ok" : "FAIL");
-        ok &= same_adapt;
+        ok &= gateIdentical("sim adapt storm rows byte-identical",
+                            row(scenarios[2], &storm),
+                            row(scenarios[2], &storm));
     }
 
     std::printf("\nSim interference gates:\n");
@@ -427,38 +328,26 @@ main(int argc, char **argv)
                   min_window_margin, 0.0);
 
     // ---- Threaded rows + gates ----
-    if (!skip_threaded) {
+    if (!args.skip_threaded) {
         const int host_cpus = hostCpuCount();
         if (host_cpus < kWorkers + 2) {
             std::printf("\nThreaded interference skipped: %d host CPUs "
                         "< %d (need %d pinned workers + headroom)\n",
                         host_cpus, kWorkers + 2, kWorkers);
         } else {
-            // Calibrate capacity with clean pinned workers, then drive
-            // at a rate the squeezed Adapt worker-set still absorbs
-            // (about 0.73x its capacity), so Off's p99 shows the 3x
-            // claim tail rather than an unstable queue in both runs.
-            double capacity_per_s = 0.0;
-            {
-                RuntimeOptions o;
-                o.numWorkers = kWorkers;
-                o.numPlaces = 2;
-                o.pinThreads = true;
-                o.sched.parkSpinFailures = 1 << 30;
-                Runtime rt(o);
-                for (int i = 1; i <= 8; ++i)
-                    submitSerialJob(rt, i).wait();
-                const int burst = 64;
-                std::vector<JobHandle> hs;
-                hs.reserve(burst);
-                const int64_t b0 = nowNs();
-                for (int i = 0; i < burst; ++i)
-                    hs.push_back(submitSerialJob(rt, i));
-                for (JobHandle &h : hs)
-                    h.wait();
-                capacity_per_s =
-                    burst / (static_cast<double>(nowNs() - b0) * 1e-9);
-            }
+            // Calibrate capacity with clean pinned workers (the probe
+            // jobs double as the warm-up), then drive at a rate the
+            // squeezed Adapt worker-set still absorbs (about 0.73x its
+            // capacity), so Off's p99 shows the 3x claim tail rather
+            // than an unstable queue in both runs.
+            // Spin instead of idle-parking: a parked worker's ~ms wake
+            // latency is tail noise the comparison must not carry.
+            // Retirement parks through its own path.
+            RuntimeOptions pinned = servingOptions(kWorkers, true);
+            pinned.pinThreads = true;
+            const double capacity_per_s =
+                calibrateHost(pinned, 1, 8, 64, submitSerialJob)
+                    .capacity_per_s;
             const double rate = 0.55 * capacity_per_s;
             const int n_jobs = std::max(
                 300, std::min(6000, static_cast<int>(3.0 * rate)));
@@ -473,16 +362,8 @@ main(int argc, char **argv)
             std::vector<double> off_p99, adapt_p99;
             double t_retires = 0.0;
             bool reexpand_ok = true;
-            for (int knob = 0; knob < 2; ++knob) {
-                const bool adapt = knob == 1;
-                RuntimeOptions o;
-                o.numWorkers = kWorkers;
-                o.numPlaces = 2;
-                o.pinThreads = true;
-                // Spin instead of idle-parking: a parked worker's ~ms
-                // wake latency is tail noise the comparison must not
-                // carry. Retirement parks through its own path.
-                o.sched.parkSpinFailures = 1 << 30;
+            for (const bool adapt : {false, true}) {
+                RuntimeOptions o = pinned;
                 o.sched.serving.interference =
                     adapt ? InterferencePolicy::Adapt
                           : InterferencePolicy::Off;
@@ -496,45 +377,47 @@ main(int argc, char **argv)
                 Runtime rt(o);
                 double p99 = 0.0, q99 = 0.0, done = 0.0;
                 double k_retires = 0.0, k_reinst = 0.0;
-                for (int rep = 0; rep < reps; ++rep) {
-                    sim::ArrivalProcess p;
-                    p.ratePerSec = rate;
-                    p.seed = first_seed + 104729ULL * rep;
-                    // ghz=1.0 makes arrivalCycles return nanoseconds.
-                    const auto arrivals =
-                        sim::arrivalCycles(p, n_jobs, 1.0);
-                    const ThreadedRun r =
-                        runThreadedStream(rt, arrivals, adapt);
-                    (adapt ? adapt_p99 : off_p99).push_back(r.p99_us);
-                    k_retires += static_cast<double>(r.retires);
-                    k_reinst += static_cast<double>(r.reinstates);
+                for (int rep = 0; rep < args.reps; ++rep) {
+                    CoRunners squeeze(kCorunners, kSqueezedCpu);
+                    const ServingTally r =
+                        runSqueezed(rt, rate, n_jobs, args.repSeed(rep));
+                    squeeze.stop();
+                    // Post-storm: with the co-runners gone the probe
+                    // epoch reads calm and the cool streak must
+                    // reinstate every retired worker.
                     if (adapt) {
-                        t_retires += static_cast<double>(r.retires);
-                        reexpand_ok &= r.reexpanded;
+                        const int64_t deadline =
+                            nowNs() + 30'000'000'000LL;
+                        while (rt.retiredWorkers() > 0
+                               && nowNs() < deadline)
+                            std::this_thread::sleep_for(
+                                std::chrono::milliseconds(10));
+                        reexpand_ok &= rt.retiredWorkers() == 0;
                     }
-                    p99 += r.p99_us / reps;
-                    q99 += r.queue_p99_us / reps;
-                    done += static_cast<double>(r.done) / reps;
+                    const WorkerCounters c = rt.stats().counters;
+                    (adapt ? adapt_p99 : off_p99).push_back(r.p99_us);
+                    k_retires += static_cast<double>(c.interferenceRetires);
+                    k_reinst +=
+                        static_cast<double>(c.interferenceReinstates);
+                    if (adapt)
+                        t_retires +=
+                            static_cast<double>(c.interferenceRetires);
+                    p99 += r.p99_us / args.reps;
+                    q99 += r.queue_p99_us / args.reps;
+                    done += static_cast<double>(r.done) / args.reps;
                     report.addRow(
-                        interferenceRow(
-                            "threaded", "squeeze",
-                            adapt ? "adapt" : "off", "corunner",
-                            kCorunners, kWorkers,
-                            first_seed + 104729ULL * rep,
-                            static_cast<std::size_t>(n_jobs),
-                            r.elapsed_s, r.p99_us, r.queue_p99_us,
-                            r.goodput, r.done, r.retires, r.reinstates,
-                            0, 0)
+                        interferenceRow("threaded", "squeeze",
+                                        adapt ? "adapt" : "off",
+                                        "corunner", kCorunners, kWorkers,
+                                        args.repSeed(rep), r)
+                            .set("retires", c.interferenceRetires)
+                            .set("reexpands", c.interferenceReinstates)
+                            .set("stolen_cycles", uint64_t{0})
+                            .set("slowed_cycles", uint64_t{0})
                             .set("rep", rep));
                 }
-                tt.addRow({adapt ? "adapt" : "off",
-                           std::to_string(static_cast<int64_t>(p99)),
-                           std::to_string(static_cast<int64_t>(q99)),
-                           std::to_string(static_cast<int64_t>(done)),
-                           std::to_string(
-                               static_cast<int64_t>(k_retires)),
-                           std::to_string(
-                               static_cast<int64_t>(k_reinst)),
+                tt.addRow({adapt ? "adapt" : "off", cell(p99), cell(q99),
+                           cell(done), cell(k_retires), cell(k_reinst),
                            adapt ? (reexpand_ok ? "yes" : "NO") : "-"});
             }
             tt.print();
@@ -551,20 +434,10 @@ main(int argc, char **argv)
                           0.80);
             ok &= gateMin("threaded adapt retires under squeeze",
                           t_retires, 1.0);
-            std::printf("  gate %-52s %s\n",
-                        "threaded full re-expansion after co-runners",
-                        reexpand_ok ? "ok" : "FAIL");
-            ok &= reexpand_ok;
+            ok &= gateHolds("threaded full re-expansion after co-runners",
+                            reexpand_ok);
         }
     }
 
-    report.writeFile(json_path);
-    std::printf("\nwrote %zu rows to %s\n", report.numRows(),
-                json_path.c_str());
-
-    if (!ok) {
-        std::printf("FAIL: interference acceptance gate violated\n");
-        return 1;
-    }
-    return 0;
+    return finishReport(report, args.json_path, ok, "interference");
 }

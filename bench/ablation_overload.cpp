@@ -13,8 +13,12 @@
  * target). A fourth row set gives half the jobs deadlines so expiry
  * shows up in the tallies.
  *
+ * The open-loop driver (job mixes, arrivals, the tally, threaded runs and
+ * calibration) is serving_driver.h; this file holds the job bodies, scenario
+ * table and gates.
+ *
  *   ./ablation_overload [--scale=0.25] [--cores=32] [--seeds=3]
- *                       [--seed=first] [--threads=2] [--reps=3]
+ *                       [--seed=first] [--threads=2] [--reps=5]
  *                       [--skip-threaded] [--json=BENCH_overload.json]
  *
  * Exits nonzero unless (both engines; threaded gates use medians over
@@ -23,19 +27,17 @@
  *     1.25x the uncontended (none@half) Latency-class p99,
  *  2. goodput: queue_delay@2x completes >= 0.9x the jobs/sec the
  *     saturated none@2x run does (shedding must not cost throughput),
- *  3. collapse: none@2x queue delay grows monotonically — the
- *     second-half-by-arrival mean queue delay >= 1.5x the first half,
+ *  3. collapse: doubling the arrival window grows the none@2x queue
+ *     p99 >= 1.30x, while queue_delay@2x's grows <= 1.25x,
  *  4. sim rows are byte-identical across repeated runs of one seed,
  *  5. deadline rows under overload actually expire jobs (tallies move).
  */
 #include <algorithm>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "bench_common.h"
-#include "sim/serving.h"
+#include "serving_driver.h"
 
 using namespace numaws;
 using namespace numaws::bench;
@@ -43,15 +45,14 @@ using namespace numaws::workloads;
 
 namespace {
 
-double
-mean(const std::vector<double> &v)
+/** Fraction of the arrival stream a deadline row gives deadlines to. */
+constexpr double kDeadlineFrac = 0.5;
+
+/** Does job @p i of a deadline row carry a deadline? */
+bool
+deadlined(int i)
 {
-    if (v.empty())
-        return 0.0;
-    double s = 0.0;
-    for (const double x : v)
-        s += x;
-    return s / static_cast<double>(v.size());
+    return static_cast<double>(i % 100) < kDeadlineFrac * 100.0;
 }
 
 /**
@@ -82,23 +83,49 @@ servingFor(const std::string &shed, double lat_us, double norm_us,
     return p;
 }
 
+/** Overload scenario: rate multiple of capacity, shed config, and
+ * whether the deadlined() jobs carry deadlines. Both engines run the
+ * same table. */
+struct Scenario
+{
+    const char *rate_name;
+    double util;
+    std::string shed;
+    bool deadlines = false;
+};
+
+/** One overload row of either engine, rendered before provenance
+ * stamping so the determinism gate can compare raw bytes. `shed` names
+ * the policy; the evicted-job count is `shed_jobs`. */
+JsonRow
+overloadRow(const char *engine, const Scenario &sc, int cores_or_workers,
+            uint64_t seed, const ServingTally &t)
+{
+    JsonRow row;
+    row.set("engine", engine)
+        .set("workload", "mixed")
+        .set("mix", "mixed")
+        .set("rate", sc.rate_name)
+        .set("arrivals", "poisson")
+        .set("shed", sc.shed)
+        .set("deadline_frac", sc.deadlines ? kDeadlineFrac : 0.0)
+        .set(std::string(engine) == "sim" ? "cores" : "workers",
+             cores_or_workers)
+        .set("seed", seed);
+    return t.put(row, {"jobs", "arrival_per_s", "elapsed_s", "p50_us",
+                       "p99_us", "lat_p99_us", "queue_p50_us",
+                       "queue_p99_us", "goodput", "shed_frac", "done",
+                       "expired", "cancelled", "rejected", "shed_jobs"});
+}
+
 // ---------------------------------------------------------------------
 // Sim side
 // ---------------------------------------------------------------------
 
-struct SimMix
-{
-    sim::ComputationDag dag;
-    std::vector<sim::FrameId> roots;
-    std::vector<int> classes;
-    double meanJobCycles = 0.0;
-};
-
-SimMix
+SimJobMix
 buildSimMix(int jobs, int sockets)
 {
-    SimMix mix;
-    std::vector<sim::ComputationDag> kinds;
+    std::vector<sim::ComputationDag> kinds; // index = class
     // Latency-class requests are a single serial block (block == n) so
     // their execution time is load-independent: what the protection
     // gate measures is queueing, not intra-job parallelism starved by
@@ -124,104 +151,25 @@ buildSimMix(int jobs, int sockets)
     mm.block = 16;
     kinds.push_back(
         matmulDag(mm, sockets, Placement::FirstTouch, false)); // Batch
-    double total_work = 0.0;
+    SimJobMix mix;
     for (int i = 0; i < jobs; ++i) {
         const std::size_t k =
             static_cast<std::size_t>(i) % kinds.size();
-        mix.roots.push_back(mix.dag.append(kinds[k]));
-        mix.classes.push_back(static_cast<int>(k));
-        total_work += kinds[k].workSpan().work;
+        mix.add(kinds[k], static_cast<int>(k), deadlined(i));
     }
-    mix.meanJobCycles = total_work / jobs;
     return mix;
 }
 
-/** Sim overload scenario: rate multiple of capacity, shed config, and
- * an optional deadline on every other job. */
-struct SimScenario
-{
-    const char *rate_name;
-    double util;
-    std::string shed;
-    double deadline_frac = 0.0; ///< fraction of jobs given deadlines
-};
-
-struct SimRun
-{
-    sim::ServingResult r;
-    std::vector<int> classes; ///< input class of r.jobs[i]
-    double ratePerSec = 0.0;
-    double ghz = 1.0;
-
-    /** Latency-class p99 over Done jobs, microseconds. */
-    double
-    latencyClassP99Us() const
-    {
-        std::vector<double> lat;
-        for (std::size_t i = 0; i < r.jobs.size(); ++i)
-            if (classes[i] == 0
-                && r.jobs[i].outcome == JobOutcome::Done)
-                lat.push_back(r.jobs[i].latencyCycles() / ghz / 1000.0);
-        return exactQuantile(std::move(lat), 0.99);
-    }
-
-    /** Latency-class claim-delay p99 over Done jobs, microseconds. */
-    double
-    latencyClassQueueP99Us() const
-    {
-        std::vector<double> q;
-        for (std::size_t i = 0; i < r.jobs.size(); ++i)
-            if (classes[i] == 0
-                && r.jobs[i].outcome == JobOutcome::Done)
-                q.push_back(r.jobs[i].queueCycles() / ghz / 1000.0);
-        return exactQuantile(std::move(q), 0.99);
-    }
-
-    /** Mean queue delay (us) of one class's Done jobs in an
-     * arrival-order slice (debug aid). Within-run cohort ratios are a
-     * poor collapse witness: late arrivals benefit from the
-     * post-window drain at full capacity, so delays peak mid-window.
-     * The gates use horizon doubling instead. */
-    double
-    meanClassQueueUs(int cls, std::size_t lo, std::size_t hi) const
-    {
-        std::vector<double> q;
-        for (std::size_t i = lo; i < hi && i < r.jobs.size(); ++i)
-            if (classes[i] == cls
-                && r.jobs[i].outcome == JobOutcome::Done
-                && r.jobs[i].startCycles > 0.0)
-                q.push_back(r.jobs[i].queueCycles() / ghz / 1000.0);
-        return mean(q);
-    }
-};
-
-SimRun
-runSimScenario(const SimMix &mix, const SimScenario &sc,
+ServingTally
+runSimScenario(const SimJobMix &mix, const Scenario &sc,
                const Machine &machine, int cores, uint64_t seed)
 {
-    SimRun run;
-    run.ghz = machine.ghz();
-    run.classes = mix.classes;
-    sim::ArrivalProcess p;
-    p.ratePerSec =
-        sc.util * cores * machine.ghz() * 1e9 / mix.meanJobCycles;
-    p.seed = seed;
-    run.ratePerSec = p.ratePerSec;
-    const auto at = sim::arrivalCycles(
-        p, static_cast<int>(mix.roots.size()), machine.ghz());
-    std::vector<sim::SimJob> jobs(mix.roots.size());
+    const sim::ArrivalProcess p =
+        mix.arrivals(sc.util, cores, machine.ghz(), seed);
     // Deadline ~2x the mean job's work: generous uncontended, hopeless
     // once the unprotected queue has grown for a while.
-    const double deadline_cycles = 2.0 * mix.meanJobCycles;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        jobs[i].root = mix.roots[i];
-        jobs[i].arrivalCycles = at[i];
-        jobs[i].cls = mix.classes[i];
-        if (sc.deadline_frac > 0.0
-            && static_cast<double>(i % 100)
-                   < sc.deadline_frac * 100.0)
-            jobs[i].deadlineCycles = at[i] + deadline_cycles;
-    }
+    const auto jobs = mix.arrive(
+        p, machine.ghz(), sc.deadlines ? 2.0 * mix.meanJobCycles : 0.0);
     sim::SimConfig cfg;
     cfg.modelParking = true;
     cfg.sched.parkSpinFailures = 4;
@@ -235,67 +183,13 @@ runSimScenario(const SimMix &mix, const SimScenario &sc,
     cfg.sched.serving = servingFor(
         sc.shed, 4.0 * mean_lat_us, 16.0 * mean_lat_us,
         64.0 * mean_lat_us, std::max(2, cores / 4));
-    run.r = sim::simulateServing(mix.dag, jobs, machine, cores, cfg);
-    return run;
-}
-
-/** One overload row, rendered before provenance stamping so the
- * determinism gate can compare raw bytes. `shed` names the policy;
- * the evicted-job count is `shed_jobs`. */
-JsonRow
-overloadRow(const char *engine, const SimScenario &sc, double rate,
-            int cores_or_workers, uint64_t seed, std::size_t jobs,
-            double elapsed_s, double p50_us, double p99_us,
-            double lat_p99_us, double queue_p50_us, double queue_p99_us,
-            double goodput, double shed_frac, uint64_t done,
-            uint64_t expired, uint64_t cancelled, uint64_t rejected,
-            uint64_t shed_jobs)
-{
-    JsonRow row;
-    row.set("engine", engine)
-        .set("workload", "mixed")
-        .set("mix", "mixed")
-        .set("rate", sc.rate_name)
-        .set("arrivals", "poisson")
-        .set("shed", sc.shed)
-        .set("deadline_frac", sc.deadline_frac)
-        .set(std::string(engine) == "sim" ? "cores" : "workers",
-             cores_or_workers)
-        .set("seed", seed)
-        .set("jobs", static_cast<uint64_t>(jobs))
-        .set("arrival_per_s", rate)
-        .set("elapsed_s", elapsed_s)
-        .set("p50_us", p50_us)
-        .set("p99_us", p99_us)
-        .set("lat_p99_us", lat_p99_us)
-        .set("queue_p50_us", queue_p50_us)
-        .set("queue_p99_us", queue_p99_us)
-        .set("goodput", goodput)
-        .set("shed_frac", shed_frac)
-        .set("done", done)
-        .set("expired", expired)
-        .set("cancelled", cancelled)
-        .set("rejected", rejected)
-        .set("shed_jobs", shed_jobs);
-    return row;
-}
-
-JsonRow
-simRow(const SimScenario &sc, int cores, uint64_t seed,
-       const SimRun &run)
-{
-    const sim::ServingResult &r = run.r;
-    const double total = static_cast<double>(r.jobs.size());
-    return overloadRow("sim", sc, run.ratePerSec, cores, seed,
-                       r.jobs.size(), r.sim.elapsedSeconds, r.p50Us,
-                       r.p99Us, run.latencyClassP99Us(), r.queueP50Us,
-                       r.queueP99Us, r.goodputPerSec,
-                       static_cast<double>(r.shed) / total, r.done,
-                       r.expired, r.cancelled, r.rejected, r.shed);
+    return ServingTally(
+        sim::simulateServing(mix.dag, jobs, machine, cores, cfg),
+        mix.classes, machine.ghz(), p.ratePerSec);
 }
 
 // ---------------------------------------------------------------------
-// Threaded side: the job bodies live in bench_common.h (the library
+// Threaded side: the job bodies live in serving_driver.h (the library
 // helpers wrap rt.run() and cannot be called from inside a job).
 // ---------------------------------------------------------------------
 
@@ -331,130 +225,24 @@ submitJob(Runtime &rt, int i, int64_t deadline_ns)
     }
 }
 
-struct OpenLoopRun
-{
-    double elapsed_s = 0.0;
-    double arrival_per_s = 0.0;
-    double goodput = 0.0;       ///< Done jobs / elapsed second
-    double p50_us = 0.0;        ///< Done-job latency percentiles
-    double p99_us = 0.0;
-    double lat_p99_us = 0.0;    ///< Latency-class Done-job p99
-    double queue_p50_us = 0.0;  ///< Done-job queue-delay percentiles
-    double queue_p99_us = 0.0;
-    double queue_growth = 0.0;  ///< Normal 2nd/1st-half mean queue delay
-    uint64_t done = 0, expired = 0, cancelled = 0, rejected = 0,
-             shed = 0;
-    double shed_frac = 0.0;
-};
-
-/** Drive @p rt open-loop at seeded @p arrival_ns offsets. */
-OpenLoopRun
-runOpenLoop(Runtime &rt, const std::vector<double> &arrival_ns,
-            double deadline_frac, int64_t deadline_ns)
-{
-    for (int i = 0; i < 12; ++i)
-        submitJob(rt, i, 0).wait();
-    rt.resetStats();
-
-    PacedRun run = runPaced(arrival_ns, [&](std::size_t i) {
-        const bool deadlined =
-            deadline_frac > 0.0
-            && static_cast<double>(i % 100) < deadline_frac * 100.0;
-        return submitJob(rt, static_cast<int>(i),
-                         deadlined ? deadline_ns : 0);
-    });
-    std::vector<JobHandle> &handles = run.handles;
-
-    OpenLoopRun r;
-    r.elapsed_s = run.elapsed_s;
-    r.arrival_per_s =
-        static_cast<double>(handles.size()) / r.elapsed_s;
-    std::vector<double> lat_us, lat_cls_us, queue_us;
-    std::vector<double> queue_first, queue_second;
-    for (std::size_t i = 0; i < handles.size(); ++i) {
-        JobHandle &h = handles[i];
-        switch (h.outcome()) {
-          case JobOutcome::Done: {
-            ++r.done;
-            const double lat =
-                static_cast<double>(h.latencyNs()) / 1000.0;
-            const double queue =
-                static_cast<double>(h.queueNs()) / 1000.0;
-            lat_us.push_back(lat);
-            queue_us.push_back(queue);
-            if (i % 3 == 0)
-                lat_cls_us.push_back(lat);
-            // Normal-class only: the clean collapse witness (see
-            // SimRun::meanNormalQueueUs).
-            if (i % 3 == 1)
-                (i < handles.size() / 2 ? queue_first : queue_second)
-                    .push_back(queue);
-            break;
-          }
-          case JobOutcome::Expired:
-            ++r.expired;
-            break;
-          case JobOutcome::Cancelled:
-            ++r.cancelled;
-            break;
-          case JobOutcome::Rejected:
-            ++r.rejected;
-            break;
-          default:
-            NUMAWS_PANIC("job resolved with unexpected outcome %s",
-                         jobOutcomeName(h.outcome()));
-        }
-    }
-    r.goodput = static_cast<double>(r.done) / r.elapsed_s;
-    r.p50_us = exactQuantile(lat_us, 0.50);
-    r.p99_us = exactQuantile(lat_us, 0.99);
-    r.lat_p99_us = exactQuantile(lat_cls_us, 0.99);
-    r.queue_p50_us = exactQuantile(queue_us, 0.50);
-    r.queue_p99_us = exactQuantile(queue_us, 0.99);
-    r.queue_growth =
-        mean(queue_second) / std::max(1e-9, mean(queue_first));
-    const RuntimeStats s = rt.stats();
-    for (int c = 0; c < kNumJobClasses; ++c)
-        r.shed += s.jobOutcomes[c].shed;
-    r.shed_frac =
-        static_cast<double>(r.shed)
-        / static_cast<double>(handles.size());
-    return r;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     const Cli cli(argc, argv);
-    const BenchArgs args(cli);
-    const std::string json_path =
-        cli.getString("json", "BENCH_overload.json");
-    const uint64_t first_seed =
-        static_cast<uint64_t>(cli.getInt("seed", 0x5eed));
-    const int num_seeds =
-        std::max(1, static_cast<int>(cli.getInt("seeds", 3)));
-    // Never oversubscribe: with more workers than physical cores the
-    // OS deschedules a worker mid-frame and Latency-class claims stall
-    // behind it, which the latency gate would misread as an admission
-    // failure.
-    const int default_threads = std::min(
-        2u, std::max(1u, std::thread::hardware_concurrency()));
-    const int threads =
-        static_cast<int>(cli.getInt("threads", default_threads));
-    const int reps =
-        std::max(1, static_cast<int>(cli.getInt("reps", 5)));
-    const bool skip_threaded = cli.getBool("skip-threaded", false);
+    const ServingArgs args(cli, "BENCH_overload.json", /*reps=*/5,
+                           hostWorkers());
+    const int threads = args.threads;
     const int sockets = socketsFor(args.cores);
     const int sim_jobs = args.scale >= 1.0 ? 480 : 240;
 
-    const SimScenario scenarios[] = {
+    const Scenario scenarios[] = {
         {"half", 0.5, "none"},
         {"2x", 2.0, "none"},
         {"2x", 2.0, "reject"},
         {"2x", 2.0, "queue_delay"},
-        {"2x", 2.0, "none", /*deadline_frac=*/0.5},
+        {"2x", 2.0, "none", /*deadlines=*/true},
     };
 
     JsonReport report;
@@ -462,7 +250,7 @@ main(int argc, char **argv)
 
     // ---- Simulated overload rows + deterministic gates ----
     const Machine machine = Machine::paperMachineSubset(args.cores);
-    const SimMix mix = buildSimMix(sim_jobs, sockets);
+    const SimJobMix mix = buildSimMix(sim_jobs, sockets);
     std::printf("Simulated overload, %d cores, %d jobs:\n", args.cores,
                 sim_jobs);
     Table t({"rate", "shed", "ddl", "latp99us", "qp99us", "goodput/s",
@@ -472,52 +260,28 @@ main(int argc, char **argv)
     double qd2x_lat_p99 = 0.0;
     double qd2x_goodput = 0.0;
     uint64_t ddl_expired = 0;
-    for (const SimScenario &sc : scenarios) {
+    for (const Scenario &sc : scenarios) {
         double lat_p99 = 0.0, qp99 = 0.0, goodput = 0.0;
         double done = 0.0, shed = 0.0, expired = 0.0;
-        for (int s = 0; s < num_seeds; ++s) {
-            const uint64_t seed = first_seed + 7919ULL * s;
-            const SimRun run =
+        for (int s = 0; s < args.num_seeds; ++s) {
+            const uint64_t seed = args.seed(s);
+            const ServingTally run =
                 runSimScenario(mix, sc, machine, args.cores, seed);
-            report.addRow(simRow(sc, args.cores, seed, run));
-            if (std::getenv("OVERLOAD_DEBUG")) {
-                const std::size_t n = run.r.jobs.size();
-                std::printf(
-                    "  dbg %s/%s seed=%llu latq_p99=%.1fus "
-                    "lat_p99=%.1fus halves"
-                    " L=%.1f/%.1f N=%.1f/%.1f B=%.1f/%.1f us\n",
-                    sc.rate_name, sc.shed.c_str(),
-                    static_cast<unsigned long long>(seed),
-                    run.latencyClassQueueP99Us(),
-                    run.latencyClassP99Us(),
-                    run.meanClassQueueUs(0, 0, n / 2),
-                    run.meanClassQueueUs(0, n / 2, n),
-                    run.meanClassQueueUs(1, 0, n / 2),
-                    run.meanClassQueueUs(1, n / 2, n),
-                    run.meanClassQueueUs(2, 0, n / 2),
-                    run.meanClassQueueUs(2, n / 2, n));
-            }
-            lat_p99 += run.latencyClassP99Us() / num_seeds;
-            qp99 += run.r.queueP99Us / num_seeds;
-            goodput += run.r.goodputPerSec / num_seeds;
-            done += static_cast<double>(run.r.done) / num_seeds;
-            shed += static_cast<double>(run.r.shed) / num_seeds;
-            expired +=
-                static_cast<double>(run.r.expired) / num_seeds;
-            ddl_expired += sc.deadline_frac > 0.0 ? run.r.expired : 0;
+            report.addRow(overloadRow("sim", sc, args.cores, seed, run));
+            lat_p99 += run.lat_p99_us / args.num_seeds;
+            qp99 += run.queue_p99_us / args.num_seeds;
+            goodput += run.goodput / args.num_seeds;
+            done += static_cast<double>(run.done) / args.num_seeds;
+            shed += static_cast<double>(run.shed) / args.num_seeds;
+            expired += static_cast<double>(run.expired) / args.num_seeds;
+            ddl_expired += sc.deadlines ? run.expired : 0;
         }
-        t.addRow({sc.rate_name, sc.shed,
-                  sc.deadline_frac > 0.0 ? "yes" : "no",
-                  std::to_string(static_cast<int64_t>(lat_p99)),
-                  std::to_string(static_cast<int64_t>(qp99)),
-                  std::to_string(static_cast<int64_t>(goodput)),
-                  std::to_string(static_cast<int64_t>(done)),
-                  std::to_string(static_cast<int64_t>(shed)),
-                  std::to_string(static_cast<int64_t>(expired))});
+        t.addRow({sc.rate_name, sc.shed, sc.deadlines ? "yes" : "no",
+                  cell(lat_p99), cell(qp99), cell(goodput), cell(done),
+                  cell(shed), cell(expired)});
         if (sc.shed == "none" && sc.util == 0.5)
             base_lat_p99 = lat_p99;
-        if (sc.shed == "none" && sc.util == 2.0
-            && sc.deadline_frac == 0.0)
+        if (sc.shed == "none" && sc.util == 2.0 && !sc.deadlines)
             none2x_goodput = goodput;
         if (sc.shed == "queue_delay") {
             qd2x_lat_p99 = lat_p99;
@@ -530,17 +294,15 @@ main(int argc, char **argv)
     // byte-identical rows (admission, shedding, and expiry decisions
     // all replay exactly).
     {
-        const SimScenario sc = {"2x", 2.0, "queue_delay", 0.5};
-        const SimRun a =
-            runSimScenario(mix, sc, machine, args.cores, first_seed);
-        const SimRun b =
-            runSimScenario(mix, sc, machine, args.cores, first_seed);
-        const bool same = simRow(sc, args.cores, first_seed, a).str()
-                          == simRow(sc, args.cores, first_seed, b).str();
-        std::printf("  gate %-52s %s\n",
-                    "sim overload rows byte-identical",
-                    same ? "ok" : "FAIL");
-        ok &= same;
+        const Scenario sc = {"2x", 2.0, "queue_delay", true};
+        const auto row = [&] {
+            return overloadRow("sim", sc, args.cores, args.first_seed,
+                               runSimScenario(mix, sc, machine,
+                                              args.cores,
+                                              args.first_seed));
+        };
+        ok &= gateIdentical("sim overload rows byte-identical", row(),
+                            row());
     }
 
     // Unbounded vs bounded growth, by horizon doubling: run none@2x
@@ -549,26 +311,22 @@ main(int argc, char **argv)
     // with QueueDelay shedding the one-in-one-out regulator pins it.
     double grow_none = 0.0, grow_qd = 0.0;
     {
-        const SimMix mix2 = buildSimMix(sim_jobs * 2, sockets);
-        const SimScenario none2x = {"2x", 2.0, "none", 0.0};
-        const SimScenario qd2x = {"2x", 2.0, "queue_delay", 0.0};
-        for (int s = 0; s < num_seeds; ++s) {
-            const uint64_t seed = first_seed + 7919ULL * s;
-            const double none_short =
-                runSimScenario(mix, none2x, machine, args.cores, seed)
-                    .r.queueP99Us;
-            const double none_long =
-                runSimScenario(mix2, none2x, machine, args.cores, seed)
-                    .r.queueP99Us;
-            const double qd_short =
-                runSimScenario(mix, qd2x, machine, args.cores, seed)
-                    .r.queueP99Us;
-            const double qd_long =
-                runSimScenario(mix2, qd2x, machine, args.cores, seed)
-                    .r.queueP99Us;
-            grow_none +=
-                none_long / std::max(1e-9, none_short) / num_seeds;
-            grow_qd += qd_long / std::max(1e-9, qd_short) / num_seeds;
+        const SimJobMix mix2 = buildSimMix(sim_jobs * 2, sockets);
+        const Scenario none2x = {"2x", 2.0, "none"};
+        const Scenario qd2x = {"2x", 2.0, "queue_delay"};
+        const auto qp99 = [&](const SimJobMix &m, const Scenario &sc,
+                              uint64_t seed) {
+            return runSimScenario(m, sc, machine, args.cores, seed)
+                .queue_p99_us;
+        };
+        for (int s = 0; s < args.num_seeds; ++s) {
+            const uint64_t seed = args.seed(s);
+            grow_none += qp99(mix2, none2x, seed)
+                         / std::max(1e-9, qp99(mix, none2x, seed))
+                         / args.num_seeds;
+            grow_qd += qp99(mix2, qd2x, seed)
+                       / std::max(1e-9, qp99(mix, qd2x, seed))
+                       / args.num_seeds;
         }
     }
 
@@ -585,71 +343,45 @@ main(int argc, char **argv)
                   static_cast<double>(ddl_expired), 1.0);
 
     // ---- Threaded overload rows + gates ----
-    if (!skip_threaded) {
+    if (!args.skip_threaded) {
         const int n_half = args.scale >= 1.0 ? 200 : 100;
         const int n_over = args.scale >= 1.0 ? 600 : 300;
 
-        // Calibrate this host's capacity with the real runtime: the
-        // serial per-job mean (spin runtime, one job at a time) sets
-        // the latency targets, while a closed-loop burst sets the
-        // sustainable jobs/s the open-loop rates are scaled from.
-        // Deriving capacity as threads/mean_job would overstate it on
-        // CI hosts with fewer cores than workers, turning "2x" into a
-        // much deeper overload than the gates are calibrated for.
-        double mean_job_s = 0.0, capacity_per_s = 0.0;
-        {
-            RuntimeOptions o;
-            o.numWorkers = threads;
-            o.numPlaces = threads >= 2 ? 2 : 1;
-            o.sched.parkSpinFailures = 1 << 30;
-            Runtime rt(o);
-            const int probe = 30;
-            const int64_t t0 = nowNs();
-            for (int i = 0; i < probe; ++i)
-                submitJob(rt, i, 0).wait();
-            mean_job_s =
-                static_cast<double>(nowNs() - t0) * 1e-9 / probe;
-
-            const int burst = 60;
-            std::vector<JobHandle> hs;
-            hs.reserve(burst);
-            const int64_t b0 = nowNs();
-            for (int i = 0; i < burst; ++i)
-                hs.push_back(submitJob(rt, i, 0));
-            for (JobHandle &h : hs)
-                h.wait();
-            capacity_per_s =
-                burst / (static_cast<double>(nowNs() - b0) * 1e-9);
-        }
-        const double mean_job_us = mean_job_s * 1e6;
+        // The serial per-job mean sets the latency targets, while the
+        // burst capacity sets the jobs/s the open-loop rates are
+        // scaled from.
+        const HostCalibration cal = calibrateHost(
+            servingOptions(threads, true), 0, 30, 60,
+            [](Runtime &rt, int i) { return submitJob(rt, i, 0); });
+        const double mean_job_us = cal.mean_job_s * 1e6;
         std::printf("\nThreaded overload, %d workers (mean job "
                     "%.0fus, capacity %.0f jobs/s):\n",
-                    threads, mean_job_us, capacity_per_s);
+                    threads, mean_job_us, cal.capacity_per_s);
 
-        struct Agg
-        {
-            std::vector<double> lat_p99, goodput, qp99, shed_frac;
-            double done_sum = 0.0, elapsed_sum = 0.0;
-            OpenLoopRun last;
-
-            /** Pooled over reps: tighter than a median of per-run
-             * ratios on a noisy host. */
-            double
-            pooledGoodput() const
-            {
-                return done_sum / std::max(1e-9, elapsed_sum);
+        // One tally per rep for each scenario (order as `scenarios`).
+        std::vector<ServingTally> runs[5];
+        const auto median = [&runs](int si, double ServingTally::*f) {
+            std::vector<double> v;
+            for (const ServingTally &r : runs[si])
+                v.push_back(r.*f);
+            return exactQuantile(v, 0.5);
+        };
+        // Pooled over reps: tighter than a median of per-run ratios on
+        // a noisy host.
+        const auto pooledGoodput = [&runs](int si) {
+            double done = 0.0, elapsed = 0.0;
+            for (const ServingTally &r : runs[si]) {
+                done += static_cast<double>(r.done);
+                elapsed += r.elapsed_s;
             }
+            return done / std::max(1e-9, elapsed);
         };
         Table tt({"rate", "shed", "ddl", "latp99us", "qp99us",
                   "goodput/s", "shed%", "expired"});
-        Agg aggs[5];
-        for (std::size_t si = 0; si < 5; ++si) {
-            const SimScenario &sc = scenarios[si];
-            const double rate = sc.util * capacity_per_s;
+        for (int si = 0; si < 5; ++si) {
+            const Scenario &sc = scenarios[si];
+            const double rate = sc.util * cal.capacity_per_s;
             const int n_jobs = sc.util < 1.0 ? n_half : n_over;
-            RuntimeOptions o;
-            o.numWorkers = threads;
-            o.numPlaces = threads >= 2 ? 2 : 1;
             // Threaded targets sit above the host's park/wake noise
             // floor (hundreds of us on a shared CI core): below it
             // the EWMA reads permanently overloaded and the shedder
@@ -663,72 +395,55 @@ main(int argc, char **argv)
             // longer than the backlog justifies (EWMA lag) and pushes
             // the shed fraction past 50%, which directly costs goodput
             // (done ~ (1 - shed_frac) * 2 * capacity * window).
-            const double lat_t = std::max(2000.0, 8.0 * mean_job_us);
-            o.sched.serving = servingFor(sc.shed, lat_t, 2.0 * lat_t,
-                                         4.0 * lat_t, 4 * threads);
             // Spin instead of parking, like the calibration runtime:
             // under QueueDelay the regulated queue occasionally runs
             // dry and a parked worker charges its ~ms wake latency to
             // the next latency-class job — a cost the never-empty
             // `none` rows never pay, which skews the comparison.
-            o.sched.parkSpinFailures = 1 << 30;
+            RuntimeOptions o = servingOptions(threads, true);
+            const double lat_t = std::max(2000.0, 8.0 * mean_job_us);
+            o.sched.serving = servingFor(sc.shed, lat_t, 2.0 * lat_t,
+                                         4.0 * lat_t, 4 * threads);
             Runtime rt(o);
-            Agg &agg = aggs[si];
+            const int64_t deadline_ns =
+                static_cast<int64_t>(8.0 * mean_job_us * 1000.0);
+            const auto warm = [&rt] {
+                for (int i = 0; i < 12; ++i)
+                    submitJob(rt, i, 0).wait();
+            };
+            const auto submit = [&](int i) {
+                const bool ddl = sc.deadlines && deadlined(i);
+                return submitJob(rt, i, ddl ? deadline_ns : 0);
+            };
             double expired = 0.0, qp99 = 0.0;
-            for (int rep = 0; rep < reps; ++rep) {
-                sim::ArrivalProcess p;
-                p.ratePerSec = rate;
-                p.seed = first_seed + 104729ULL * rep;
-                // ghz=1.0 makes arrivalCycles return nanoseconds.
-                const auto arrivals =
-                    sim::arrivalCycles(p, n_jobs, 1.0);
-                const OpenLoopRun r = runOpenLoop(
-                    rt, arrivals, sc.deadline_frac,
-                    static_cast<int64_t>(8.0 * mean_job_us * 1000.0));
-                agg.lat_p99.push_back(r.lat_p99_us);
-                agg.goodput.push_back(r.goodput);
-                agg.qp99.push_back(r.queue_p99_us);
-                agg.shed_frac.push_back(r.shed_frac);
-                agg.done_sum += static_cast<double>(r.done);
-                agg.elapsed_sum += r.elapsed_s;
-                agg.last = r;
-                expired += static_cast<double>(r.expired) / reps;
-                qp99 += r.queue_p99_us / reps;
-                report.addRow(
-                    overloadRow("threaded", sc, r.arrival_per_s,
-                                threads,
-                                first_seed + 104729ULL * rep,
-                                static_cast<std::size_t>(n_jobs),
-                                r.elapsed_s, r.p50_us, r.p99_us,
-                                r.lat_p99_us, r.queue_p50_us,
-                                r.queue_p99_us, r.goodput,
-                                r.shed_frac, r.done, r.expired,
-                                r.cancelled, r.rejected, r.shed)
-                        .set("rep", rep));
+            for (int rep = 0; rep < args.reps; ++rep) {
+                const OpenLoopRun run = runOpenLoop(
+                    rt, rate, n_jobs, args.repSeed(rep), warm, submit);
+                const ServingTally &r = run.tally;
+                runs[si].push_back(r);
+                expired += static_cast<double>(r.expired) / args.reps;
+                qp99 += r.queue_p99_us / args.reps;
+                report.addRow(overloadRow("threaded", sc, threads,
+                                          args.repSeed(rep), r)
+                                  .set("rep", rep));
             }
-            tt.addRow(
-                {sc.rate_name, sc.shed,
-                 sc.deadline_frac > 0.0 ? "yes" : "no",
-                 std::to_string(static_cast<int64_t>(
-                     exactQuantile(agg.lat_p99, 0.5))),
-                 std::to_string(static_cast<int64_t>(qp99)),
-                 std::to_string(static_cast<int64_t>(
-                     exactQuantile(agg.goodput, 0.5))),
-                 std::to_string(static_cast<int64_t>(
-                     exactQuantile(agg.shed_frac, 0.5) * 100.0)),
-                 std::to_string(static_cast<int64_t>(expired))});
+            tt.addRow({sc.rate_name, sc.shed, sc.deadlines ? "yes" : "no",
+                       cell(median(si, &ServingTally::lat_p99_us)),
+                       cell(qp99), cell(median(si, &ServingTally::goodput)),
+                       cell(median(si, &ServingTally::shed_frac) * 100.0),
+                       cell(expired)});
         }
         tt.print();
 
         // Medians over reps: scenario order matches `scenarios`.
-        const double t_none2x_lat = exactQuantile(aggs[1].lat_p99, 0.5);
-        const double t_none2x_good = aggs[1].pooledGoodput();
-        const double t_none2x_qp99 = exactQuantile(aggs[1].qp99, 0.5);
-        const double t_qd_lat = exactQuantile(aggs[3].lat_p99, 0.5);
-        const double t_qd_good = aggs[3].pooledGoodput();
-        const double t_qd_qp99 = exactQuantile(aggs[3].qp99, 0.5);
+        const double t_none2x_lat = median(1, &ServingTally::lat_p99_us);
+        const double t_none2x_good = pooledGoodput(1);
+        const double t_none2x_qp99 = median(1, &ServingTally::queue_p99_us);
+        const double t_qd_lat = median(3, &ServingTally::lat_p99_us);
+        const double t_qd_good = pooledGoodput(3);
+        const double t_qd_qp99 = median(3, &ServingTally::queue_p99_us);
         const double t_ddl_expired =
-            static_cast<double>(aggs[4].last.expired);
+            static_cast<double>(runs[4].back().expired);
 
         // Threaded thresholds are deliberately looser than the sim's
         // (1.25x latency, 0.90 goodput): those exact bounds are
@@ -755,13 +470,5 @@ main(int argc, char **argv)
                       t_ddl_expired, 1.0);
     }
 
-    report.writeFile(json_path);
-    std::printf("\nwrote %zu rows to %s\n", report.numRows(),
-                json_path.c_str());
-
-    if (!ok) {
-        std::printf("FAIL: overload acceptance gate violated\n");
-        return 1;
-    }
-    return 0;
+    return finishReport(report, args.json_path, ok, "overload");
 }

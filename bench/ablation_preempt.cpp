@@ -18,6 +18,10 @@
  *    set — the delay-EWMA pressure signal must fire no later than the
  *    shed threshold itself crosses (the elastic pool's early warning).
  *
+ * The open-loop driver (job mixes, arrivals, the tally, threaded runs and
+ * calibration) is serving_driver.h; this file holds the job bodies, scenario
+ * table and gates.
+ *
  *   ./ablation_preempt [--scale=0.25] [--cores=32] [--seeds=3]
  *                      [--seed=first] [--threads=2] [--reps=3]
  *                      [--skip-threaded] [--json=BENCH_preempt.json]
@@ -37,11 +41,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "bench_common.h"
-#include "sim/serving.h"
+#include "serving_driver.h"
 
 using namespace numaws;
 using namespace numaws::bench;
@@ -55,19 +57,9 @@ namespace {
 
 enum class MixKind { LatencyOnly, Saturated, Flood };
 
-struct PreemptMix
-{
-    sim::ComputationDag dag;
-    std::vector<sim::FrameId> roots;
-    std::vector<int> classes;
-    std::vector<uint8_t> deadlined; ///< Batch jobs that carry a deadline
-    double meanJobCycles = 0.0;
-};
-
-PreemptMix
+SimJobMix
 buildPreemptMix(MixKind kind, int jobs, int sockets)
 {
-    PreemptMix mix;
     // Latency: one serial block (block == n), so execution time is
     // load-independent — what the preemption gate measures is queue
     // wait, not intra-job parallelism starved by a saturated machine.
@@ -103,43 +95,29 @@ buildPreemptMix(MixKind kind, int jobs, int sockets)
     const auto starved =
         matmulDag(starved_mm, sockets, Placement::FirstTouch, false);
 
-    double total = 0.0;
+    SimJobMix mix;
     for (int i = 0; i < jobs; ++i) {
-        const sim::ComputationDag *d = nullptr;
-        int cls = 0;
-        bool ddl = false;
         switch (kind) {
           case MixKind::LatencyOnly:
-            d = &lat;
+            mix.add(lat, 0);
             break;
           case MixKind::Saturated:
-            if (i % 8 == 0) {
-                d = &lat;
-            } else {
-                d = &batch;
-                cls = 2;
-            }
+            if (i % 8 == 0)
+                mix.add(lat, 0);
+            else
+                mix.add(batch, 2);
             break;
           case MixKind::Flood:
             // i%16==8 (not 0): the first deadlined Batch job lands
             // after the Normal backlog is already standing, so the
             // aging-off run shows starvation from the first sample.
-            if (i % 16 == 8) {
-                d = &starved;
-                cls = 2;
-                ddl = true;
-            } else {
-                d = &normal;
-                cls = 1;
-            }
+            if (i % 16 == 8)
+                mix.add(starved, 2, /*ddl=*/true);
+            else
+                mix.add(normal, 1);
             break;
         }
-        mix.roots.push_back(mix.dag.append(*d));
-        mix.classes.push_back(cls);
-        mix.deadlined.push_back(ddl ? 1 : 0);
-        total += d->workSpan().work;
     }
-    mix.meanJobCycles = total / jobs;
     return mix;
 }
 
@@ -167,62 +145,66 @@ struct PreemptScenario
     double deadlineSvc = 0.0;
 };
 
+/** One preemption row of either engine, up to the Batch-class
+ * outcomes; the caller appends the engine's yield/aging/unpark
+ * counters. */
+JsonRow
+preemptRow(const char *engine, const PreemptScenario &sc, int aging_us,
+           int cores_or_workers, uint64_t seed, const ServingTally &t)
+{
+    JsonRow row;
+    row.set("engine", engine)
+        .set("workload", "preempt_mix")
+        .set("scenario", sc.name)
+        .set("preempt", sc.preempt)
+        // `aging` is the identity (stable across runs); `aging_us` is a
+        // measurement — the threaded step is calibrated per host.
+        .set("aging", aging_us > 0)
+        .set("aging_us", aging_us)
+        .set("unpark_pct", sc.unparkPct)
+        .set("shed", sc.shed)
+        .set("arrivals", "poisson")
+        .set(std::string(engine) == "sim" ? "cores" : "workers",
+             cores_or_workers)
+        .set("seed", seed);
+    return t
+        .put(row, {"jobs", "arrival_per_s", "elapsed_s", "p99_us",
+                   "lat_p99_us", "queue_p99_us", "goodput", "done",
+                   "expired"})
+        .set("batch_done", t.classCount(2, JobOutcome::Done))
+        .set("batch_expired", t.classCount(2, JobOutcome::Expired));
+}
+
 struct PreemptRun
 {
     sim::ServingResult r;
-    std::vector<int> classes;
-    double ratePerSec = 0.0;
-    double ghz = 1.0;
+    ServingTally tally;
     int agingUs = 0;
 
-    /** Latency-class p99 over Done jobs, microseconds. */
-    double
-    latencyClassP99Us() const
+    /** The row, rendered before provenance stamping so the determinism
+     * gate can compare raw bytes. */
+    JsonRow
+    row(const PreemptScenario &sc, int cores, uint64_t seed) const
     {
-        std::vector<double> lat;
-        for (std::size_t i = 0; i < r.jobs.size(); ++i)
-            if (classes[i] == 0
-                && r.jobs[i].outcome == JobOutcome::Done)
-                lat.push_back(r.jobs[i].latencyCycles() / ghz / 1000.0);
-        return exactQuantile(std::move(lat), 0.99);
-    }
-
-    uint64_t
-    classOutcome(int cls, JobOutcome o) const
-    {
-        uint64_t n = 0;
-        for (std::size_t i = 0; i < r.jobs.size(); ++i)
-            if (classes[i] == cls && r.jobs[i].outcome == o)
-                ++n;
-        return n;
+        return preemptRow("sim", sc, agingUs, cores, seed, tally)
+            .set("yields", r.sim.counters.yields)
+            .set("aged_claims", r.sim.counters.agedClaims)
+            .set("unpark_at_cycles", r.sim.firstUnparkPressureCycles)
+            .set("shed_cross_cycles", r.sim.firstShedCrossCycles);
     }
 };
 
 PreemptRun
-runPreemptScenario(const PreemptMix &mix, const PreemptScenario &sc,
+runPreemptScenario(const SimJobMix &mix, const PreemptScenario &sc,
                    const Machine &machine, int cores, uint64_t seed)
 {
-    PreemptRun run;
-    run.ghz = machine.ghz();
-    run.classes = mix.classes;
-    sim::ArrivalProcess p;
-    p.ratePerSec =
-        sc.util * cores * machine.ghz() * 1e9 / mix.meanJobCycles;
-    p.seed = seed;
-    run.ratePerSec = p.ratePerSec;
-    const auto at = sim::arrivalCycles(
-        p, static_cast<int>(mix.roots.size()), machine.ghz());
+    const sim::ArrivalProcess p =
+        mix.arrivals(sc.util, cores, machine.ghz(), seed);
     // One per-core service time: the mean inter-completion gap at
     // capacity, the natural unit for deadlines and aging steps.
     const double svc_cycles = mix.meanJobCycles / cores;
-    std::vector<sim::SimJob> jobs(mix.roots.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        jobs[i].root = mix.roots[i];
-        jobs[i].arrivalCycles = at[i];
-        jobs[i].cls = mix.classes[i];
-        if (sc.deadlineSvc > 0.0 && mix.deadlined[i])
-            jobs[i].deadlineCycles = at[i] + sc.deadlineSvc * svc_cycles;
-    }
+    const auto jobs =
+        mix.arrive(p, machine.ghz(), sc.deadlineSvc * svc_cycles);
     sim::SimConfig cfg;
     cfg.modelParking = sc.parking;
     cfg.sched.parkSpinFailures = 4;
@@ -247,79 +229,21 @@ runPreemptScenario(const PreemptMix &mix, const PreemptScenario &sc,
         pol.agingWaitUs =
             std::max(1, static_cast<int>(sc.agingSvc * svc_us));
     pol.unparkLeadPct = sc.unparkPct;
-    run.agingUs = pol.agingWaitUs;
     cfg.sched.serving = pol;
+    PreemptRun run;
+    run.agingUs = pol.agingWaitUs;
     run.r = sim::simulateServing(mix.dag, jobs, machine, cores, cfg);
+    run.tally = ServingTally(run.r, mix.classes, machine.ghz(),
+                             p.ratePerSec);
     return run;
 }
 
-/** One preemption row, rendered before provenance stamping so the
- * determinism gate can compare raw bytes. */
-JsonRow
-preemptRow(const char *engine, const char *scenario, bool preempt,
-           int aging_us, int unpark_pct, const std::string &shed,
-           int cores_or_workers, uint64_t seed, std::size_t jobs,
-           double rate, double elapsed_s, double p99_us,
-           double lat_p99_us, double queue_p99_us, double goodput,
-           uint64_t done, uint64_t expired, uint64_t batch_done,
-           uint64_t batch_expired, uint64_t yields, uint64_t aged,
-           uint64_t unpark_at, uint64_t shed_cross_at)
-{
-    JsonRow row;
-    row.set("engine", engine)
-        .set("workload", "preempt_mix")
-        .set("scenario", scenario)
-        .set("preempt", preempt)
-        // `aging` is the identity (stable across runs); `aging_us` is a
-        // measurement — the threaded step is calibrated per host.
-        .set("aging", aging_us > 0)
-        .set("aging_us", aging_us)
-        .set("unpark_pct", unpark_pct)
-        .set("shed", shed)
-        .set("arrivals", "poisson")
-        .set(std::string(engine) == "sim" ? "cores" : "workers",
-             cores_or_workers)
-        .set("seed", seed)
-        .set("jobs", static_cast<uint64_t>(jobs))
-        .set("arrival_per_s", rate)
-        .set("elapsed_s", elapsed_s)
-        .set("p99_us", p99_us)
-        .set("lat_p99_us", lat_p99_us)
-        .set("queue_p99_us", queue_p99_us)
-        .set("goodput", goodput)
-        .set("done", done)
-        .set("expired", expired)
-        .set("batch_done", batch_done)
-        .set("batch_expired", batch_expired)
-        .set("yields", yields)
-        .set("aged_claims", aged)
-        .set("unpark_at_cycles", unpark_at)
-        .set("shed_cross_cycles", shed_cross_at);
-    return row;
-}
-
-JsonRow
-simRow(const PreemptScenario &sc, int cores, uint64_t seed,
-       const PreemptRun &run)
-{
-    const sim::ServingResult &r = run.r;
-    return preemptRow(
-        "sim", sc.name, sc.preempt, run.agingUs, sc.unparkPct, sc.shed,
-        cores, seed, r.jobs.size(), run.ratePerSec,
-        r.sim.elapsedSeconds, r.p99Us, run.latencyClassP99Us(),
-        r.queueP99Us, r.goodputPerSec, r.done, r.expired,
-        run.classOutcome(2, JobOutcome::Done),
-        run.classOutcome(2, JobOutcome::Expired), r.sim.counters.yields,
-        r.sim.counters.agedClaims, r.sim.firstUnparkPressureCycles,
-        r.sim.firstShedCrossCycles);
-}
-
 // ---------------------------------------------------------------------
-// Threaded side: the job bodies live in bench_common.h. The Batch body
-// (heatJob) is boundary-dense (many spawns per step) so a raised yield
-// directive is observed within a fraction of the job, and the Latency
-// body (matmulSerialJob) is a single serial block so its execution
-// time is load-independent.
+// Threaded side: the job bodies live in serving_driver.h. The Batch
+// body (heatJob) is boundary-dense (many spawns per step) so a raised
+// yield directive is observed within a fraction of the job, and the
+// Latency body (matmulSerialJob) is a single serial block so its
+// execution time is load-independent.
 // ---------------------------------------------------------------------
 
 /** Submit one job of the scenario's mix. Saturated: 1-in-8 Latency
@@ -352,100 +276,15 @@ submitPreemptJob(Runtime &rt, MixKind kind, int i, int64_t deadline_ns)
     }, opts);
 }
 
-struct ThreadedRun
-{
-    double elapsed_s = 0.0;
-    double arrival_per_s = 0.0;
-    double goodput = 0.0;
-    double p99_us = 0.0;
-    double lat_p99_us = 0.0;   ///< Latency-class Done-job p99
-    double queue_p99_us = 0.0;
-    uint64_t done = 0, expired = 0, other = 0;
-    uint64_t batch_done = 0, batch_expired = 0;
-    uint64_t yields = 0, aged = 0;
-};
-
-/** Drive @p rt open-loop at seeded @p arrival_ns offsets. */
-ThreadedRun
-runThreadedStream(Runtime &rt, MixKind kind,
-                  const std::vector<double> &arrival_ns,
-                  int64_t deadline_ns)
-{
-    for (int i = 1; i <= 8; ++i)
-        submitPreemptJob(rt, kind, i, 0).wait();
-    rt.resetStats();
-
-    PacedRun run = runPaced(arrival_ns, [&](std::size_t i) {
-        return submitPreemptJob(rt, kind, static_cast<int>(i),
-                                deadline_ns);
-    });
-    std::vector<JobHandle> &handles = run.handles;
-
-    ThreadedRun r;
-    r.elapsed_s = run.elapsed_s;
-    r.arrival_per_s =
-        static_cast<double>(handles.size()) / r.elapsed_s;
-    std::vector<double> lat_us, lat_cls_us, queue_us;
-    for (std::size_t i = 0; i < handles.size(); ++i) {
-        JobHandle &h = handles[i];
-        const bool is_batch =
-            kind == MixKind::Saturated ? (i % 8 != 0) : (i % 16 == 8);
-        switch (h.outcome()) {
-          case JobOutcome::Done: {
-            ++r.done;
-            const double lat =
-                static_cast<double>(h.latencyNs()) / 1000.0;
-            lat_us.push_back(lat);
-            queue_us.push_back(
-                static_cast<double>(h.queueNs()) / 1000.0);
-            if (kind == MixKind::Saturated && i % 8 == 0)
-                lat_cls_us.push_back(lat);
-            if (is_batch)
-                ++r.batch_done;
-            break;
-          }
-          case JobOutcome::Expired:
-            ++r.expired;
-            if (is_batch)
-                ++r.batch_expired;
-            break;
-          default:
-            ++r.other;
-            break;
-        }
-    }
-    r.goodput = static_cast<double>(r.done) / r.elapsed_s;
-    r.p99_us = exactQuantile(lat_us, 0.99);
-    r.lat_p99_us = exactQuantile(lat_cls_us, 0.99);
-    r.queue_p99_us = exactQuantile(queue_us, 0.99);
-    const RuntimeStats s = rt.stats();
-    r.yields = s.counters.yields;
-    r.aged = s.counters.agedClaims;
-    return r;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     const Cli cli(argc, argv);
-    const BenchArgs args(cli);
-    const std::string json_path =
-        cli.getString("json", "BENCH_preempt.json");
-    const uint64_t first_seed =
-        static_cast<uint64_t>(cli.getInt("seed", 0x5eed));
-    const int num_seeds =
-        std::max(1, static_cast<int>(cli.getInt("seeds", 3)));
-    // Never oversubscribe (see ablation_overload): descheduled workers
-    // stall Latency-class claims, which the gates would misread.
-    const int default_threads = std::min(
-        2u, std::max(1u, std::thread::hardware_concurrency()));
-    const int threads =
-        static_cast<int>(cli.getInt("threads", default_threads));
-    const int reps =
-        std::max(1, static_cast<int>(cli.getInt("reps", 3)));
-    const bool skip_threaded = cli.getBool("skip-threaded", false);
+    const ServingArgs args(cli, "BENCH_preempt.json", /*reps=*/3,
+                           hostWorkers());
+    const int threads = args.threads;
     const int sockets = socketsFor(args.cores);
     const int sim_jobs = args.scale >= 1.0 ? 480 : 240;
 
@@ -468,12 +307,12 @@ main(int argc, char **argv)
 
     // ---- Simulated rows + deterministic gates ----
     const Machine machine = Machine::paperMachineSubset(args.cores);
-    PreemptMix mixes[3] = {
+    const SimJobMix mixes[3] = {
         buildPreemptMix(MixKind::LatencyOnly, sim_jobs, sockets),
         buildPreemptMix(MixKind::Saturated, sim_jobs, sockets),
         buildPreemptMix(MixKind::Flood, sim_jobs, sockets),
     };
-    const auto mixFor = [&](MixKind k) -> const PreemptMix & {
+    const auto mixFor = [&](MixKind k) -> const SimJobMix & {
         return mixes[static_cast<int>(k)];
     };
     std::printf("Simulated preemption, %d cores, %d jobs:\n",
@@ -488,66 +327,42 @@ main(int argc, char **argv)
     double on_aged = 0.0;
     double ramp_unpark = 0.0, ramp_cross = 0.0;
     bool ramp_lead_ok = true;
+    const double n = args.num_seeds;
     for (const PreemptScenario &sc : scenarios) {
-        const PreemptMix &mix = mixFor(sc.mix);
         double lat_p99 = 0.0, yields = 0.0, aged = 0.0;
         double bdone = 0.0, bexpired = 0.0;
         int aging_us = 0;
-        for (int s = 0; s < num_seeds; ++s) {
-            const uint64_t seed = first_seed + 7919ULL * s;
-            const PreemptRun run =
-                runPreemptScenario(mix, sc, machine, args.cores, seed);
-            report.addRow(simRow(sc, args.cores, seed, run));
-            if (std::getenv("PREEMPT_DEBUG")
-                && std::string(sc.name) == "flood" && s == 0) {
-                const double svc =
-                    mix.meanJobCycles / args.cores;
-                for (std::size_t i = 0; i < run.r.jobs.size(); ++i) {
-                    if (mix.classes[i] != 2)
-                        continue;
-                    const auto &j = run.r.jobs[i];
-                    std::printf("  dbg batch[%3zu] arr=%6.1f "
-                                "start=%6.1f fin=%6.1f svc  %s\n",
-                                i, j.arrivalCycles / svc,
-                                j.startCycles / svc,
-                                j.finishCycles / svc,
-                                jobOutcomeName(j.outcome));
-                }
-            }
-            lat_p99 += run.latencyClassP99Us() / num_seeds;
-            yields += static_cast<double>(run.r.sim.counters.yields)
-                      / num_seeds;
-            aged += static_cast<double>(run.r.sim.counters.agedClaims)
-                    / num_seeds;
+        for (int s = 0; s < args.num_seeds; ++s) {
+            const uint64_t seed = args.seed(s);
+            const PreemptRun run = runPreemptScenario(
+                mixFor(sc.mix), sc, machine, args.cores, seed);
+            const sim::SimResult &r = run.r.sim;
+            report.addRow(run.row(sc, args.cores, seed));
+            lat_p99 += run.tally.lat_p99_us / n;
+            yields += static_cast<double>(r.counters.yields) / n;
+            aged += static_cast<double>(r.counters.agedClaims) / n;
             bdone += static_cast<double>(
-                         run.classOutcome(2, JobOutcome::Done))
-                     / num_seeds;
-            bexpired += static_cast<double>(
-                            run.classOutcome(2, JobOutcome::Expired))
-                        / num_seeds;
+                         run.tally.classCount(2, JobOutcome::Done))
+                     / n;
+            bexpired += static_cast<double>(run.tally.classCount(
+                            2, JobOutcome::Expired))
+                        / n;
             aging_us = run.agingUs;
             if (std::string(sc.name) == "ramp") {
                 ramp_unpark +=
-                    static_cast<double>(
-                        run.r.sim.firstUnparkPressureCycles)
-                    / num_seeds;
-                ramp_cross += static_cast<double>(
-                                  run.r.sim.firstShedCrossCycles)
-                              / num_seeds;
+                    static_cast<double>(r.firstUnparkPressureCycles) / n;
+                ramp_cross +=
+                    static_cast<double>(r.firstShedCrossCycles) / n;
                 // Lead is a per-seed ordering claim, not an average.
-                ramp_lead_ok &= run.r.sim.firstUnparkPressureCycles > 0
-                                && run.r.sim.firstUnparkPressureCycles
-                                       <= run.r.sim.firstShedCrossCycles;
+                ramp_lead_ok &= r.firstUnparkPressureCycles > 0
+                                && r.firstUnparkPressureCycles
+                                       <= r.firstShedCrossCycles;
             }
         }
         t.addRow({sc.name, sc.preempt ? "on" : "off",
-                  sc.agingSvc > 0.0 ? std::to_string(aging_us) + "us"
-                                    : "off",
-                  std::to_string(static_cast<int64_t>(lat_p99)),
-                  std::to_string(static_cast<int64_t>(yields)),
-                  std::to_string(static_cast<int64_t>(aged)),
-                  std::to_string(static_cast<int64_t>(bdone)),
-                  std::to_string(static_cast<int64_t>(bexpired))});
+                  sc.agingSvc > 0.0 ? std::to_string(aging_us) + "us" : "off",
+                  cell(lat_p99), cell(yields), cell(aged), cell(bdone),
+                  cell(bexpired)});
         const std::string name = sc.name;
         if (name == "uncontended")
             base_lat_p99 = lat_p99;
@@ -577,18 +392,14 @@ main(int argc, char **argv)
             "kitchen", MixKind::Saturated, 1.5, "queue_delay",
             /*preempt=*/true, /*agingSvc=*/40, /*unparkPct=*/50,
             /*parking=*/true};
-        const PreemptMix &mix = mixFor(sc.mix);
-        const PreemptRun a =
-            runPreemptScenario(mix, sc, machine, args.cores, first_seed);
-        const PreemptRun b =
-            runPreemptScenario(mix, sc, machine, args.cores, first_seed);
-        const bool same = simRow(sc, args.cores, first_seed, a).str()
-                          == simRow(sc, args.cores, first_seed, b).str();
-        std::printf("  gate %-52s %s\n",
-                    "sim all-knobs rows byte-identical",
-                    same ? "ok" : "FAIL");
-        ok &= same;
-        report.addRow(simRow(sc, args.cores, first_seed, a));
+        const auto row = [&] {
+            return runPreemptScenario(mixFor(sc.mix), sc, machine,
+                                      args.cores, args.first_seed)
+                .row(sc, args.cores, args.first_seed);
+        };
+        const JsonRow a = row();
+        ok &= gateIdentical("sim all-knobs rows byte-identical", a, row());
+        report.addRow(a);
     }
 
     std::printf("\nSim preemption gates:\n");
@@ -608,106 +419,72 @@ main(int argc, char **argv)
                   1.0);
     ok &= gateMin("sim ramp unpark pressure fires", ramp_unpark, 1.0);
     ok &= gateMin("sim ramp shed threshold crosses", ramp_cross, 1.0);
-    std::printf("  gate %-52s %s\n",
-                "sim unpark pressure leads shed crossing (per seed)",
-                ramp_lead_ok ? "ok" : "FAIL");
-    ok &= ramp_lead_ok;
+    ok &= gateHolds("sim unpark pressure leads shed crossing (per seed)",
+                    ramp_lead_ok);
 
     // ---- Threaded rows + gates ----
-    if (!skip_threaded) {
+    if (!args.skip_threaded) {
         const int n_jobs = args.scale >= 1.0 ? 240 : 120;
 
-        // Calibrate this host's capacity with the real runtime (see
-        // ablation_overload: threads/mean_job overstates capacity on
-        // CI hosts with fewer cores than workers).
-        double mean_job_s = 0.0, capacity_per_s = 0.0;
-        {
-            RuntimeOptions o;
-            o.numWorkers = threads;
-            o.numPlaces = threads >= 2 ? 2 : 1;
-            o.sched.parkSpinFailures = 1 << 30;
-            Runtime rt(o);
-            const int probe = 20;
-            const int64_t t0 = nowNs();
-            for (int i = 1; i <= probe; ++i)
-                submitPreemptJob(rt, MixKind::Saturated, i, 0).wait();
-            mean_job_s =
-                static_cast<double>(nowNs() - t0) * 1e-9 / probe;
-
-            const int burst = 40;
-            std::vector<JobHandle> hs;
-            hs.reserve(burst);
-            const int64_t b0 = nowNs();
-            for (int i = 0; i < burst; ++i)
-                hs.push_back(
-                    submitPreemptJob(rt, MixKind::Saturated, i, 0));
-            for (JobHandle &h : hs)
-                h.wait();
-            capacity_per_s =
-                burst / (static_cast<double>(nowNs() - b0) * 1e-9);
-        }
-        const double mean_job_us = mean_job_s * 1e6;
+        const HostCalibration cal = calibrateHost(
+            servingOptions(threads, true), 1, 20, 40, [](Runtime &rt, int i) {
+                return submitPreemptJob(rt, MixKind::Saturated, i, 0);
+            });
+        const double mean_job_us = cal.mean_job_s * 1e6;
         std::printf("\nThreaded preemption, %d workers (mean job "
                     "%.0fus, capacity %.0f jobs/s):\n",
-                    threads, mean_job_us, capacity_per_s);
+                    threads, mean_job_us, cal.capacity_per_s);
 
-        struct ThreadedScenario
-        {
-            const char *name;
-            MixKind mix;
-            bool preempt;
-            bool aging;
-            double deadline_jobs; ///< Batch deadline in mean jobs
-        };
-        const ThreadedScenario tscens[] = {
-            {"saturated", MixKind::Saturated, false, false, 0.0},
-            {"saturated", MixKind::Saturated, true, false, 0.0},
-            {"flood", MixKind::Flood, false, true, 24.0},
-        };
+        // The threaded side mirrors the saturated preempt-off/on rows
+        // and the aging-on flood, every one at 1.5x capacity. Its
+        // aging step is two mean jobs, its Batch deadline 24 of them.
+        const PreemptScenario *tscens[] = {&scenarios[1], &scenarios[2],
+                                           &scenarios[4]};
 
         Table tt({"scenario", "preempt", "aging", "latp99us", "yields",
                   "aged", "done", "expired"});
         std::vector<double> off_lat, on_lat;
         double t_on_yields = 0.0, t_aged = 0.0;
         double t_sat_done_min = 1.0, t_flood_acct_min = 1.0;
-        for (const ThreadedScenario &ts : tscens) {
-            const double rate = 1.5 * capacity_per_s;
-            RuntimeOptions o;
-            o.numWorkers = threads;
-            o.numPlaces = threads >= 2 ? 2 : 1;
+        for (const PreemptScenario *sc : tscens) {
+            const bool aging = sc->agingSvc > 0.0;
+            const double rate = 1.5 * cal.capacity_per_s;
             // Spin instead of parking: a parked worker charges its ~ms
             // wake latency to the next Latency-class job, noise the
             // preemption comparison must not carry.
-            o.sched.parkSpinFailures = 1 << 30;
+            RuntimeOptions o = servingOptions(threads, true);
             ServingPolicy pol;
-            pol.preempt = ts.preempt;
-            if (ts.aging)
+            pol.preempt = sc->preempt;
+            if (aging)
                 pol.agingWaitUs = std::max(
                     1000, static_cast<int>(2.0 * mean_job_us));
             o.sched.serving = pol;
             Runtime rt(o);
+            const int64_t deadline_ns =
+                sc->deadlineSvc > 0.0
+                    ? static_cast<int64_t>(24.0 * mean_job_us * 1000.0)
+                    : 0;
+            const auto warm = [&] {
+                for (int i = 1; i <= 8; ++i)
+                    submitPreemptJob(rt, sc->mix, i, 0).wait();
+            };
+            const auto submit = [&](int i) {
+                return submitPreemptJob(rt, sc->mix, i, deadline_ns);
+            };
             double lat_p99 = 0.0, yields = 0.0, aged = 0.0;
             double done = 0.0, expired = 0.0;
-            for (int rep = 0; rep < reps; ++rep) {
-                sim::ArrivalProcess p;
-                p.ratePerSec = rate;
-                p.seed = first_seed + 104729ULL * rep;
-                // ghz=1.0 makes arrivalCycles return nanoseconds.
-                const auto arrivals =
-                    sim::arrivalCycles(p, n_jobs, 1.0);
-                const ThreadedRun r = runThreadedStream(
-                    rt, ts.mix, arrivals,
-                    ts.deadline_jobs > 0.0
-                        ? static_cast<int64_t>(ts.deadline_jobs
-                                               * mean_job_us * 1000.0)
-                        : 0);
-                lat_p99 += r.lat_p99_us / reps;
-                yields += static_cast<double>(r.yields);
-                aged += static_cast<double>(r.aged);
-                done += static_cast<double>(r.done) / reps;
-                expired += static_cast<double>(r.expired) / reps;
-                if (ts.mix == MixKind::Saturated) {
-                    (ts.preempt ? on_lat : off_lat)
+            for (int rep = 0; rep < args.reps; ++rep) {
+                const OpenLoopRun run = runOpenLoop(
+                    rt, rate, n_jobs, args.repSeed(rep), warm, submit);
+                const ServingTally &r = run.tally;
+                const WorkerCounters &c = run.stats.counters;
+                lat_p99 += r.lat_p99_us / args.reps;
+                yields += static_cast<double>(c.yields);
+                aged += static_cast<double>(c.agedClaims);
+                done += static_cast<double>(r.done) / args.reps;
+                expired += static_cast<double>(r.expired) / args.reps;
+                if (sc->mix == MixKind::Saturated) {
+                    (sc->preempt ? on_lat : off_lat)
                         .push_back(r.lat_p99_us);
                     t_sat_done_min = std::min(
                         t_sat_done_min,
@@ -718,29 +495,22 @@ main(int argc, char **argv)
                         static_cast<double>(r.done + r.expired)
                             / n_jobs);
                 }
-                report.addRow(
-                    preemptRow("threaded", ts.name, ts.preempt,
-                               pol.agingWaitUs, 0, "none", threads,
-                               first_seed + 104729ULL * rep,
-                               static_cast<std::size_t>(n_jobs),
-                               r.arrival_per_s, r.elapsed_s, r.p99_us,
-                               r.lat_p99_us, r.queue_p99_us, r.goodput,
-                               r.done, r.expired, r.batch_done,
-                               r.batch_expired, r.yields, r.aged, 0, 0)
-                        .set("rep", rep));
+                report.addRow(preemptRow("threaded", *sc,
+                                         pol.agingWaitUs, threads,
+                                         args.repSeed(rep), r)
+                                  .set("yields", c.yields)
+                                  .set("aged_claims", c.agedClaims)
+                                  .set("unpark_at_cycles", uint64_t{0})
+                                  .set("shed_cross_cycles", uint64_t{0})
+                                  .set("rep", rep));
             }
-            if (ts.preempt)
+            if (sc->preempt)
                 t_on_yields += yields;
-            if (ts.aging)
+            if (aging)
                 t_aged += aged;
-            tt.addRow({ts.name, ts.preempt ? "on" : "off",
-                       ts.aging ? "on" : "off",
-                       std::to_string(static_cast<int64_t>(lat_p99)),
-                       std::to_string(static_cast<int64_t>(yields)),
-                       std::to_string(static_cast<int64_t>(aged)),
-                       std::to_string(static_cast<int64_t>(done)),
-                       std::to_string(
-                           static_cast<int64_t>(expired))});
+            tt.addRow({sc->name, sc->preempt ? "on" : "off",
+                       aging ? "on" : "off", cell(lat_p99), cell(yields),
+                       cell(aged), cell(done), cell(expired)});
         }
         tt.print();
 
@@ -766,13 +536,5 @@ main(int argc, char **argv)
                       t_flood_acct_min, 1.0);
     }
 
-    report.writeFile(json_path);
-    std::printf("\nwrote %zu rows to %s\n", report.numRows(),
-                json_path.c_str());
-
-    if (!ok) {
-        std::printf("FAIL: preemption acceptance gate violated\n");
-        return 1;
-    }
-    return 0;
+    return finishReport(report, args.json_path, ok, "preemption");
 }

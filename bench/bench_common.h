@@ -14,15 +14,11 @@
 #ifndef NUMAWS_BENCH_BENCH_COMMON_H
 #define NUMAWS_BENCH_BENCH_COMMON_H
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -321,136 +317,27 @@ gateMin(const char *what, double actual, double limit)
                 ok ? "ok" : "FAIL");
     return ok;
 }
-/// @}
 
-/** Nearest-rank q-quantile of @p sample (0 for an empty sample). */
-inline double
-exactQuantile(std::vector<double> sample, double q)
+inline bool
+gateHolds(const std::string &what, bool ok)
 {
-    if (sample.empty())
-        return 0.0;
-    std::sort(sample.begin(), sample.end());
-    const double n = static_cast<double>(sample.size());
-    std::size_t idx = static_cast<std::size_t>(q * n + 0.999999);
-    idx = idx > 0 ? idx - 1 : 0;
-    if (idx >= sample.size())
-        idx = sample.size() - 1;
-    return sample[idx];
+    std::printf("  gate %-52s %s\n", what.c_str(), ok ? "ok" : "FAIL");
+    return ok;
 }
 
-/** @name Threaded serving-bench job bodies
- * The job shapes the open-loop serving benches mix; each returns a
- * value the caller stores into g_sink so the work stays observable. */
-/// @{
-inline std::atomic<double> g_sink{0.0};
-
-/** Jacobi heat sweeps on an @p nx x @p ny grid, rows split by
- * parallelForRange (spawn-dense). */
-inline double
-heatJob(int64_t nx, int64_t ny, int64_t steps)
+/** Byte-identity: two renderings of one seeded run must match. */
+inline bool
+gateIdentical(const std::string &what, const JsonRow &a, const JsonRow &b)
 {
-    std::vector<double> a(static_cast<std::size_t>(nx) * ny, 1.0);
-    std::vector<double> b(a.size(), 0.0);
-    double *src = a.data();
-    double *dst = b.data();
-    for (int64_t t = 0; t < steps; ++t) {
-        parallelForRange(1, nx - 1, /*grain=*/nx / 4 + 1,
-                         [&](int64_t lo, int64_t hi) {
-                             for (int64_t i = lo; i < hi; ++i)
-                                 for (int64_t j = 1; j < ny - 1; ++j)
-                                     dst[i * ny + j] =
-                                         0.25
-                                         * (src[(i - 1) * ny + j]
-                                            + src[(i + 1) * ny + j]
-                                            + src[i * ny + j - 1]
-                                            + src[i * ny + j + 1]);
-                         });
-        std::swap(src, dst);
-    }
-    return src[ny + 1];
-}
-
-/** @p n x @p n matrix multiply, rows split by parallelForRange. */
-inline double
-matmulJob(uint32_t n)
-{
-    std::vector<double> a(static_cast<std::size_t>(n) * n, 1.0);
-    std::vector<double> b(a.size(), 2.0);
-    std::vector<double> c(a.size(), 0.0);
-    parallelForRange(0, n, /*grain=*/static_cast<int64_t>(n) / 4 + 1,
-                     [&](int64_t lo, int64_t hi) {
-                         for (int64_t i = lo; i < hi; ++i)
-                             for (uint32_t k = 0; k < n; ++k) {
-                                 const double aik =
-                                     a[static_cast<std::size_t>(i) * n
-                                       + k];
-                                 for (uint32_t j = 0; j < n; ++j)
-                                     c[static_cast<std::size_t>(i) * n
-                                       + j] +=
-                                         aik
-                                         * b[static_cast<std::size_t>(k)
-                                                 * n
-                                             + j];
-                             }
-                     });
-    return c[0];
-}
-
-/** The same multiply with no scheduling points: one serial block, so
- * its execution time is load-independent (a saturated host can stretch
- * a fork-join tree arbitrarily, which would charge intra-job
- * starvation to a latency gate). */
-inline double
-matmulSerialJob(uint32_t n)
-{
-    std::vector<double> a(static_cast<std::size_t>(n) * n, 1.0);
-    std::vector<double> b(a.size(), 2.0);
-    std::vector<double> c(a.size(), 0.0);
-    for (uint32_t i = 0; i < n; ++i)
-        for (uint32_t k = 0; k < n; ++k) {
-            const double aik = a[static_cast<std::size_t>(i) * n + k];
-            for (uint32_t j = 0; j < n; ++j)
-                c[static_cast<std::size_t>(i) * n + j] +=
-                    aik * b[static_cast<std::size_t>(k) * n + j];
-        }
-    return c[0];
+    return gateHolds(what, a.str() == b.str());
 }
 /// @}
 
-/** One paced open-loop stream: every handle, joined, and the wall time
- * from the first arrival slot to the last join. */
-struct PacedRun
+/** Table cell holding @p v truncated toward zero. */
+inline std::string
+cell(double v)
 {
-    std::vector<JobHandle> handles;
-    double elapsed_s = 0.0;
-};
-
-/**
- * Drive an open-loop stream: call @p submit(i) at t0 + @p arrival_ns[i]
- * for each arrival, then join every handle. The driver sleeps toward
- * each arrival and spin-finishes the last ~200us so submission timing
- * is not at the mercy of timer slack.
- */
-template <typename Submit>
-PacedRun
-runPaced(const std::vector<double> &arrival_ns, Submit submit)
-{
-    PacedRun r;
-    r.handles.reserve(arrival_ns.size());
-    const int64_t t0 = nowNs();
-    for (std::size_t i = 0; i < arrival_ns.size(); ++i) {
-        const int64_t target = t0 + static_cast<int64_t>(arrival_ns[i]);
-        while (nowNs() < target) {
-            if (target - nowNs() > 200000)
-                std::this_thread::sleep_for(
-                    std::chrono::microseconds(100));
-        }
-        r.handles.push_back(submit(i));
-    }
-    for (JobHandle &h : r.handles)
-        h.wait();
-    r.elapsed_s = static_cast<double>(nowNs() - t0) * 1e-9;
-    return r;
+    return std::to_string(static_cast<int64_t>(v));
 }
 
 /** Standard bench CLI: --scale=, --cores=, --workload= filter. */

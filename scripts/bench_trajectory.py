@@ -36,6 +36,18 @@ fewer runs of history the group only reports. ``--override`` (CI sets
 it from the ``perf-override`` PR label) demotes failures to warnings
 for intentional perf shifts; exit is then 0 and history still records
 the new level, so the next run gates against it.
+
+Compare-rows mode is the refactor proof: the same benches run at a parent
+and a changed revision must emit the same rows::
+
+    bench_trajectory.py --compare-rows PARENT_DIR CHANGE_DIR [file.json ...]
+
+For every report in either directory it checks that the row count and
+order match, that each row pair has the same key set and the same
+identity (KEY_FIELDS) values, and that every ``engine == "sim"`` row is
+value-identical once the provenance fields (git_sha, host_cores) are
+dropped; threaded rows may differ only in their measurements. Exit is
+nonzero on the first difference in any report, naming the row and key.
 """
 
 import json
@@ -139,6 +151,10 @@ GATE_TOLERANCE_BY_REPORT = {
 }
 
 
+# Row fields that record where a report ran, not what it measured.
+PROVENANCE_FIELDS = ("git_sha", "host_cores")
+
+
 def tolerance_for(label):
     """Gate tolerance for a history label ("report.json::group")."""
     return GATE_TOLERANCE_BY_REPORT.get(label.split("::", 1)[0],
@@ -227,6 +243,62 @@ def run_report(prev_dir, new_dir, names):
         only_new = [k for k in new if k not in old]
         if only_new:
             print("  (+%d new row groups)" % len(only_new))
+    return 0
+
+
+def row_label(index, row):
+    ident = [str(v) for _, v in key_of(row)]
+    ident += ["%s=%s" % (k, row[k]) for k in ("seed", "rep") if k in row]
+    return "row %d (%s)" % (index, "/".join(ident))
+
+
+def first_difference(old, new):
+    """The first way two reports' rows differ, or None (see the
+    compare-rows section of the module docstring)."""
+    if len(old) != len(new):
+        return "row count %d -> %d" % (len(old), len(new))
+    for i, (a, b) in enumerate(zip(old, new)):
+        if set(a) != set(b):
+            key = sorted(set(a) ^ set(b))[0]
+            return "%s: key %r only in the %s row" % (
+                row_label(i, a), key, "parent" if key in a else "change")
+        for key in KEY_FIELDS:
+            if key in a and a[key] != b[key]:
+                return "%s: identity %r %r -> %r" % (
+                    row_label(i, a), key, a[key], b[key])
+        if a.get("engine") != "sim":
+            continue
+        for key in a:
+            if key not in PROVENANCE_FIELDS and a[key] != b[key]:
+                return "%s: sim value %r %r -> %r" % (
+                    row_label(i, a), key, a[key], b[key])
+    return None
+
+
+def run_compare_rows(parent_dir, change_dir, names):
+    names = names or sorted(
+        set(report_files(parent_dir, [])) | set(report_files(change_dir,
+                                                             [])))
+    failures = 0
+    for name in names:
+        paths = [os.path.join(d, name) for d in (parent_dir, change_dir)]
+        missing = [p for p in paths if not os.path.exists(p)]
+        if missing:
+            print("== %s: FAIL missing %s" % (name, ", ".join(missing)))
+            failures += 1
+            continue
+        old, new = (load_rows(p) for p in paths)
+        diff = first_difference(old, new)
+        if diff:
+            print("== %s: FAIL %s" % (name, diff))
+            failures += 1
+            continue
+        sims = sum(1 for r in new if r.get("engine") == "sim")
+        print("== %s: %d rows match (%d sim rows value-identical)"
+              % (name, len(new), sims))
+    if failures:
+        print("bench_trajectory: %d report(s) differ" % failures)
+        return 1
     return 0
 
 
@@ -337,6 +409,11 @@ def run_gate(hist_in, hist_out, new_dir, names, override):
 def main(argv):
     args = [a for a in argv[1:] if a != "--override"]
     override = "--override" in argv[1:]
+    if args and args[0] == "--compare-rows":
+        if len(args) < 3:
+            print(__doc__)
+            return 2
+        return run_compare_rows(args[1], args[2], args[3:])
     if args and args[0] == "--gate":
         if len(args) < 4:
             print(__doc__)

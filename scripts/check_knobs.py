@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Fail on scheduling knobs that nothing outside the tests ever sets.
+"""Fail on scheduling knobs that nothing outside the tests ever sets, and
+on environment-variable switches in the shipped code.
 
 Every ``SchedPolicy`` / ``ServingPolicy`` field in ``src/sched/policy.h``
 must earn its place: a bench, an example, or one of the policy/SimConfig
@@ -13,6 +14,11 @@ members and greps for an assignment to each one, ``.name = ...`` or
 
 Exit is nonzero, naming each unearned field, when any field is assigned
 nowhere. ALLOWLIST holds the few knobs kept for a stated reason.
+
+The same run fails on any ``getenv(`` under src/, bench/ or examples/:
+behaviour switched by an undocumented environment variable is a knob no
+CLI or policy shows. GETENV_ALLOWLIST holds the uses kept on purpose,
+each with its reason; a failure names the file, line and variable.
 """
 
 import os
@@ -33,6 +39,15 @@ ALLOWLIST = {
                       "long fallback to show shutdown never waits it out",
 }
 
+# Directories scanned for getenv calls, and the (file, variable) pairs
+# allowed to read the environment.
+GETENV_DIRS = ("src", "bench", "examples")
+GETENV_ALLOWLIST = {
+    (os.path.join("bench", "bench_common.h"), "GITHUB_SHA"):
+        "bench-report provenance: CI's commit sha stamps every JSON row",
+}
+GETENV_RE = re.compile(r'\bgetenv\s*\(\s*(?:"([^"]*)")?')
+
 FIELD_RE = re.compile(
     r"^\s*(?:[A-Za-z_][\w:<>]*\s+)+([A-Za-z_]\w*)\s*(?:\[[^\]]*\])?"
     r"\s*(?:=[^=;][^;]*|\{[^}]*\})?;")
@@ -41,6 +56,42 @@ FIELD_RE = re.compile(
 def strip_comments(text):
     text = re.sub(r"/\*.*?\*/", "", text, flags=re.S)
     return re.sub(r"//[^\n]*", "", text)
+
+
+def blank_comments(text):
+    """strip_comments, but a block comment keeps its newlines so line
+    numbers still match the file."""
+    text = re.sub(r"/\*.*?\*/", lambda m: "\n" * m.group(0).count("\n"),
+                  text, flags=re.S)
+    return re.sub(r"//[^\n]*", "", text)
+
+
+def check_getenv():
+    """Print every getenv call under GETENV_DIRS; return the unallowed
+    ones as "path:line VARIABLE" strings."""
+    failed = []
+    for d in GETENV_DIRS:
+        for root, _, files in sorted(os.walk(os.path.join(REPO, d))):
+            for f in sorted(files):
+                if not f.endswith((".cpp", ".cc", ".h")):
+                    continue
+                path = os.path.join(root, f)
+                rel = os.path.relpath(path, REPO)
+                with open(path) as fh:
+                    text = blank_comments(fh.read())
+                for m in GETENV_RE.finditer(text):
+                    line = text.count("\n", 0, m.start()) + 1
+                    var = m.group(1) or "<non-literal>"
+                    where = "%s:%d %s" % (rel, line, var)
+                    reason = GETENV_ALLOWLIST.get((rel, var))
+                    if reason:
+                        print("  getenv %-42s allowlisted: %s"
+                              % (where, reason))
+                    else:
+                        print("  getenv %-42s FAIL: undocumented "
+                              "environment switch" % where)
+                        failed.append(where)
+    return failed
 
 
 def struct_fields(text, name):
@@ -114,12 +165,21 @@ def main():
     stale = sorted(set(ALLOWLIST) - {n for _, n in fields})
     for name in stale:
         print("  allowlist entry %s names no field" % name)
+    getenv_failed = check_getenv()
+    status = 0
     if failed or stale:
         print("check_knobs: %d unearned knob(s): %s"
               % (len(failed), ", ".join(failed) or "-"))
-        return 1
-    print("check_knobs: %d knobs, all earned" % len(fields))
-    return 0
+        status = 1
+    else:
+        print("check_knobs: %d knobs, all earned" % len(fields))
+    if getenv_failed:
+        print("check_knobs: %d getenv use(s) outside the allowlist: %s"
+              % (len(getenv_failed), ", ".join(getenv_failed)))
+        status = 1
+    else:
+        print("check_knobs: no getenv outside the allowlist")
+    return status
 
 
 if __name__ == "__main__":

@@ -49,17 +49,4 @@ JobQueue::tryPop()
     return QueuedJob{};
 }
 
-QueuedJob
-JobQueue::popShedVictim()
-{
-    if (empty())
-        return QueuedJob{};
-    for (int c = kNumJobClasses - 1; c >= 0; --c) {
-        QueuedJob job = popFromLane(_lanes[c]);
-        if (job.valid())
-            return job;
-    }
-    return QueuedJob{};
-}
-
 } // namespace numaws

@@ -19,7 +19,8 @@
  * claimer can decide the job's fate *before* running it (cancelled or
  * past-deadline roots are skipped at claim time), and the overload layer
  * can bound lanes (laneDepth vs ServingPolicy::laneCapacity) and shed
- * queued jobs from the lowest class (popShedVictim).
+ * queued jobs from the lowest class (ShedCore::shedLane names the lane,
+ * tryPopLane pops it).
  */
 #ifndef NUMAWS_RUNTIME_JOB_QUEUE_H
 #define NUMAWS_RUNTIME_JOB_QUEUE_H
@@ -60,14 +61,10 @@ class JobQueue
      * invalid QueuedJob. */
     QueuedJob tryPop();
 
-    /** Shedding pop: the oldest entry of the *lowest* non-empty class
-     * (Batch before Normal before Latency), or invalid. The QueueDelay
-     * policy's graceful-degradation order. */
-    QueuedJob popShedVictim();
-
-    /** Claim the oldest entry of one specific lane, or invalid. Claim
-     * loops that rank lanes by *effective* class (priority aging) pick
-     * the lane first, then pop from it directly. */
+    /** Pop the oldest entry of one specific lane, or invalid. Claim
+     * loops that rank lanes by *effective* class (priority aging) and
+     * the QueueDelay shedder pick the lane in ShedCore first, then pop
+     * from it directly. */
     QueuedJob
     tryPopLane(int cls)
     {

@@ -296,11 +296,18 @@ Runtime::enqueueJob(TaskBase *root, std::shared_ptr<JobState> state)
     // Only a *standing* queue is shed (CoDel's rule): when the lanes
     // were empty the arrival is the server's next unit of work, and
     // evicting it would starve a busy-but-drained server.
+    // ShedCore::shedLane picks the lane (the simulator's admitJob makes
+    // the same call); a claim that empties it first leaves this
+    // admission with nothing to shed.
     const bool standing = !_jobQueue.empty();
     const int cls = static_cast<int>(state->opts.cls);
     _jobQueue.push(root, std::move(state));
-    if (standing && _shed.overloaded()) {
-        QueuedJob victim = _jobQueue.popShedVictim();
+    int64_t depth[kNumServingClasses];
+    for (int c = 0; c < kNumServingClasses; ++c)
+        depth[c] = _jobQueue.laneDepth(c);
+    const int lane = _shed.shedLane(standing, depth);
+    if (lane >= 0) {
+        QueuedJob victim = _jobQueue.tryPopLane(lane);
         if (victim.valid()) {
             delete victim.root;
             resolveUnrun(*victim.state, JobOutcome::Rejected,

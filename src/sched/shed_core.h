@@ -24,9 +24,11 @@
  * the EWMA decays. Lane capacities (ShedPolicy::Reject, and the
  * backstop under QueueDelay) are a pure admission-time depth check.
  *
- * The claim side lives here too: claimLane ranks the nonempty lanes by
- * effective class (priority aging) for both engines' claim loops, so
- * which lane a worker pops is decided in exactly one place.
+ * The lane choices live here too: claimLane ranks the nonempty lanes
+ * by effective class (priority aging) for both engines' claim loops,
+ * and shedLane names the lane an overloaded admission evicts from, so
+ * which lane a worker pops or a shed empties is decided in exactly one
+ * place.
  *
  * Thread-safety: the EWMAs are relaxed atomics updated with racy
  * read-modify-write — concurrent claims may lose an update, which only
@@ -182,8 +184,8 @@ class ShedCore
     }
 
     /** QueueDelay only: is any class's claim-delay EWMA above its
-     * target? While true, each admission sheds one job from the lowest
-     * nonempty lane (the engine owns the lanes and does the pop). */
+     * target? While true, each admission into a standing queue sheds
+     * one job from the lane shedLane names. */
     bool
     overloaded() const
     {
@@ -197,6 +199,26 @@ class ShedCore
                 return true;
         }
         return false;
+    }
+
+    /**
+     * The lane an admission sheds from: while overloaded() and the
+     * queue was already @p standing before this admission, the
+     * lowest-priority lane (Batch before Normal before Latency) whose
+     * @p laneDepth, counted after the admission's own push, is
+     * nonzero; otherwise -1. Both engines call this and pop the
+     * lane's oldest job themselves.
+     */
+    int
+    shedLane(bool standing,
+             const int64_t laneDepth[kNumServingClasses]) const
+    {
+        if (!standing || !overloaded())
+            return -1;
+        for (int c = kNumServingClasses - 1; c >= 0; --c)
+            if (laneDepth[c] > 0)
+                return c;
+        return -1;
     }
 
   private:

@@ -548,23 +548,23 @@ class Simulation
                             job.arrivalCycles);
             return;
         }
-        // Only a standing queue is shed (CoDel's rule, matching
-        // Runtime::enqueueJob): an arrival into empty lanes is the
-        // server's next unit of work, never a victim.
+        // Only a standing queue is shed (CoDel's rule): an arrival
+        // into empty lanes is the server's next unit of work, never a
+        // victim. ShedCore::shedLane picks the victim's lane, the same
+        // call Runtime::enqueueJob makes.
         bool standing = false;
         for (int lane = 0; lane < kNumJobLanes; ++lane)
             standing |= !_jobLanes[lane].empty();
         _jobLanes[job.cls].push_back(j);
-        if (standing && _shed.overloaded()) {
-            for (int lane = kNumJobLanes - 1; lane >= 0; --lane) {
-                if (_jobLanes[lane].empty())
-                    continue;
-                const int victim = _jobLanes[lane].front();
-                _jobLanes[lane].pop_front();
-                resolveJobUnrun(victim, JobOutcome::Rejected,
-                                /*shed=*/true, job.arrivalCycles);
-                break;
-            }
+        int64_t depth[kNumJobLanes];
+        for (int lane = 0; lane < kNumJobLanes; ++lane)
+            depth[lane] = static_cast<int64_t>(_jobLanes[lane].size());
+        const int shed_lane = _shed.shedLane(standing, depth);
+        if (shed_lane >= 0) {
+            const int victim = _jobLanes[shed_lane].front();
+            _jobLanes[shed_lane].pop_front();
+            resolveJobUnrun(victim, JobOutcome::Rejected, /*shed=*/true,
+                            job.arrivalCycles);
         }
         // First-crossing instrumentation for the unpark-lead gate: when
         // did the early-warning pressure signal first fire, and when did

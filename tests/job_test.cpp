@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "numaws.h"
+#include "sched/shed_core.h"
 #include "sim/serving.h"
 #include "support/latency_hist.h"
 #include "workloads/workloads.h"
@@ -205,8 +206,23 @@ TEST(JobQueue, PopsHigherClassFirstThenFifo)
 
 TEST(JobQueue, ShedVictimComesFromLowestClassFirst)
 {
+    // The engine's shed pop: ShedCore::shedLane over the lane depths,
+    // then tryPopLane on the lane it names.
+    ServingPolicy pol;
+    pol.shed = ShedPolicy::QueueDelay;
+    pol.queueDelayTargetUs[0] = 1;
+    ShedCore shed(pol);
+    shed.observeDelay(0, 1'000'000);
+    ASSERT_TRUE(shed.overloaded());
     JobQueue q;
-    EXPECT_FALSE(q.popShedVictim().valid());
+    auto victim = [&q, &shed] {
+        int64_t depth[kNumServingClasses];
+        for (int c = 0; c < kNumServingClasses; ++c)
+            depth[c] = q.laneDepth(c);
+        const int lane = shed.shedLane(/*standing=*/true, depth);
+        return lane < 0 ? QueuedJob{} : q.tryPopLane(lane);
+    };
+    EXPECT_FALSE(victim().valid());
     auto tag = [](uintptr_t v) {
         return reinterpret_cast<TaskBase *>(v);
     };
@@ -221,10 +237,10 @@ TEST(JobQueue, ShedVictimComesFromLowestClassFirst)
     push(0xA1, JobClass::Normal);
     // Batch first (FIFO within the lane), then Normal, then — only
     // when nothing lower remains — Latency.
-    EXPECT_EQ(q.popShedVictim().root, tag(0xB1));
-    EXPECT_EQ(q.popShedVictim().root, tag(0xB2));
-    EXPECT_EQ(q.popShedVictim().root, tag(0xA1));
-    EXPECT_EQ(q.popShedVictim().root, tag(0xC1));
+    EXPECT_EQ(victim().root, tag(0xB1));
+    EXPECT_EQ(victim().root, tag(0xB2));
+    EXPECT_EQ(victim().root, tag(0xA1));
+    EXPECT_EQ(victim().root, tag(0xC1));
     EXPECT_TRUE(q.empty());
 }
 

@@ -448,4 +448,48 @@ TEST(ShedCoreClaimLane, MatchesStrictScanAndBruteForceAging)
     EXPECT_GT(promotions, 0);
 }
 
+/**
+ * The shed-victim lane both engines take from ShedCore::shedLane: for
+ * every lane-depth mask, with and without a standing queue, overloaded
+ * or not, it is the brute-force lowest-priority nonempty lane exactly
+ * when the queue stands and the delay signal is over target, else -1.
+ */
+TEST(ShedCoreShedLane, LowestNonemptyLaneOnlyWhileOverloadedAndStanding)
+{
+    constexpr int kLanes = kNumServingClasses;
+    ServingPolicy pol;
+    pol.shed = ShedPolicy::QueueDelay;
+    for (int c = 0; c < kLanes; ++c)
+        pol.queueDelayTargetUs[c] = 10;
+    int cases = 0, sheds = 0;
+    for (const bool overloaded : {false, true}) {
+        ShedCore core(pol);
+        // 1ms observed against a 10us target is over; 1us is under.
+        core.observeDelay(kLanes - 1, overloaded ? 1'000'000 : 1'000);
+        ASSERT_EQ(core.overloaded(), overloaded);
+        for (int mask = 0; mask < (1 << kLanes); ++mask) {
+            int64_t depth[kLanes];
+            for (int c = 0; c < kLanes; ++c)
+                depth[c] = (mask >> c & 1) ? c + 1 : 0;
+            int lowest = -1;
+            for (int c = 0; c < kLanes; ++c)
+                if (depth[c] > 0)
+                    lowest = c;
+            for (const bool standing : {false, true}) {
+                ++cases;
+                const int want = standing && overloaded ? lowest : -1;
+                EXPECT_EQ(core.shedLane(standing, depth), want)
+                    << "mask=" << mask << " standing=" << standing
+                    << " overloaded=" << overloaded;
+                sheds += want >= 0;
+            }
+        }
+    }
+    EXPECT_EQ(cases, 2 * (1 << kLanes) * 2);
+    EXPECT_EQ(sheds, (1 << kLanes) - 1);
+    // Policies without delay targets never shed at admission.
+    const int64_t full[kLanes] = {1, 1, 1};
+    EXPECT_EQ(ShedCore(ServingPolicy{}).shedLane(true, full), -1);
+}
+
 } // namespace

@@ -10,6 +10,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "sim/scheduler.h"
 #include "sim/serving.h"
 #include "support/rng.h"
@@ -228,6 +231,61 @@ TEST(SchedulerBounds, WorkFirstOverheadOnWorkTermIsSmall)
     const double t1 =
         simulate(dag, m, 1, SimConfig::numaWs()).elapsedCycles;
     EXPECT_LT(t1 / ts, 1.05);
+}
+
+/**
+ * Section IV's bounds on serving runs: eight random fork-join jobs
+ * arrive open-loop (Batch first, then descending class, so Latency
+ * arrivals find Batch work to preempt and the Batch lane waits long
+ * enough to age) under NUMA-WS with preemption and priority aging on.
+ * The greedy bound holds over the whole run, offset by the last
+ * arrival, and steals stay O(P * Tinf) of the longest job's span.
+ */
+TEST(SchedulerBounds, ServingRunsKeepGreedyAndStealBounds)
+{
+    constexpr int kJobs = 8;
+    constexpr double kGapCycles = 20e3;
+    uint64_t yields = 0, aged = 0;
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+        SimConfig cfg = SimConfig::numaWs();
+        cfg.seed = seed;
+        cfg.sched.serving.preempt = true;
+        cfg.sched.serving.agingWaitUs = 5;
+        ComputationDag dag;
+        std::vector<SimJob> jobs(kJobs);
+        double work = 0.0, max_span = 0.0;
+        for (int i = 0; i < kJobs; ++i) {
+            const ComputationDag job =
+                randomDag(seed * kJobs + i, 7, 200.0, 2000.0);
+            const WorkSpan ws =
+                job.workSpan(cfg.spawnCost, cfg.syncTrivialCost);
+            work += ws.work;
+            max_span = std::max(max_span, ws.span);
+            jobs[i].root = dag.append(job);
+            jobs[i].arrivalCycles = i * kGapCycles;
+            jobs[i].cls = 2 - i * kNumServingClasses / kJobs;
+        }
+        const double last_arrival = jobs.back().arrivalCycles;
+        for (const int cores : {2, 4, 8, 16, 32}) {
+            const ServingResult r = simulateServing(
+                dag, jobs, Machine::paperMachine(), cores, cfg);
+            EXPECT_LE(r.sim.elapsedCycles,
+                      last_arrival + work / cores + 40.0 * max_span)
+                << "P=" << cores << " seed=" << seed;
+            EXPECT_LE(static_cast<double>(r.sim.counters.steals),
+                      8.0 * cores * (max_span / 200.0) + 64.0)
+                << "P=" << cores << " seed=" << seed;
+            EXPECT_EQ(r.done, jobs.size())
+                << "P=" << cores << " seed=" << seed;
+            for (const SimJobStats &job : r.jobs)
+                EXPECT_EQ(job.outcome, JobOutcome::Done);
+            yields += r.sim.counters.yields;
+            aged += r.sim.counters.agedClaims;
+        }
+    }
+    // Both serving mechanisms must fire for the sweep to cover them.
+    EXPECT_GT(yields, 0u);
+    EXPECT_GT(aged, 0u);
 }
 
 /**
