@@ -260,17 +260,29 @@ struct RuntimeStats
  * the same worker, and the join counter exploits it in the style of
  * Cilk's THE protocol: the owner counts spawns and the completions of
  * children it ran itself in plain integers; only a child that left the
- * worker (TaskBase::stolen) pays an atomic release increment. An
- * unstolen child cannot run anywhere else — popTail is owner-only and
- * every frame reaching a mailbox was marked stolen by the thief that
- * pushed it — so a spawn+sync whose children never left the worker
- * performs no atomic read-modify-write on the group at all.
+ * worker (TaskBase::stolen) and completed elsewhere pays an atomic
+ * release increment. An unstolen child cannot run anywhere else —
+ * popTail is owner-only and every frame reaching a mailbox was marked
+ * stolen by the thief that pushed it — so a spawn+sync whose children
+ * never left the worker performs no atomic read-modify-write on the
+ * group at all.
+ *
+ * The join is Worker::helpSync, the only out-of-line part of a group
+ * (construction and the destructor's pending() test are inline). A child
+ * it pops back itself — off the deque tail, or out of the own mailbox
+ * after a thief routed it home — runs on the lean Worker::runLocalChild:
+ * the syncing body spawned it, so it already carries that body's job
+ * and frame owner, and completing it on the owner is a plain increment
+ * even when it had been stolen.
  */
 class TaskGroup
 {
   public:
-    TaskGroup();
-    ~TaskGroup();
+    TaskGroup() = default;
+    /** Implicit sync for a group that dies with live children (the
+     * cilk_sync at the end of every Cilk function); a no-op test of
+     * pending() otherwise. Never rethrows: sync() does that. */
+    inline ~TaskGroup();
 
     TaskGroup(const TaskGroup &) = delete;
     TaskGroup &operator=(const TaskGroup &) = delete;
@@ -353,8 +365,9 @@ class Worker
     Place place() const { return _place; }
     Runtime &runtime() { return _runtime; }
 
-    /** The worker executing the calling thread, or nullptr. */
-    static Worker *current();
+    /** The worker executing the calling thread, or nullptr. Inline:
+     * every spawn and sync starts here. */
+    static Worker *current() { return tlsCurrent; }
 
     /** Owner-side push (spawn path). */
     void pushTask(TaskBase *task);
@@ -561,6 +574,13 @@ class Worker
     bool helpJobUntil(const JobState &job, int64_t deadline_ns);
     /** Execute @p task, maintaining hint inheritance and accounting. */
     void executeTask(TaskBase *task);
+    /** executeTask's lean twin for a child of @p group popped back by
+     * @p group's own joining worker (helpSync): the child was spawned
+     * by the body now syncing, so its job, preemption class and frame
+     * owner are this worker's already, and only the hint, the counters,
+     * the exception, the owner-side join increment, the frame release
+     * and the progress stamp remain. */
+    void runLocalChild(TaskBase *task, TaskGroup &group);
     /** Destroy @p task and route its frame home: local LIFO when this
      * worker owns it, the owner's remote-free stack when a thief
      * finished a stolen task, plain delete for heap frames. */
@@ -579,6 +599,9 @@ class Worker
     /// @}
 
   private:
+    /** The worker bound to the calling thread (set by mainLoop). */
+    static inline thread_local Worker *tlsCurrent = nullptr;
+
     TaskBase *acquireLocal();
     /** The dry path, once local work (and, where the caller claims
      * jobs, the job queue) came up empty: enter Idle, then make one
@@ -961,6 +984,17 @@ class Runtime
 // ---------------------------------------------------------------------
 // Inline template implementations
 // ---------------------------------------------------------------------
+
+inline TaskGroup::~TaskGroup()
+{
+    // A group must not die with live children; sync here as a safety net
+    // (mirrors the implicit cilk_sync at the end of every Cilk function).
+    if (pending() > 0) {
+        Worker *w = Worker::current();
+        NUMAWS_ASSERT(w != nullptr);
+        w->helpSync(*this);
+    }
+}
 
 template <typename F>
 void

@@ -69,7 +69,8 @@ class TaskBase
      * is pushed on (so every mailbox entry carries it). It also picks
      * the join path: an unstolen task can only run on its spawner and
      * completes with a plain owner-side increment, a stolen one with
-     * an atomic release increment (TaskGroup::onChildDone). */
+     * an atomic release increment (TaskGroup::onChildDone) unless its
+     * spawner's sync gets it back and runs it (Worker::runLocalChild). */
     bool stolen() const { return _stolen; }
     void markStolen() { _stolen = true; }
 

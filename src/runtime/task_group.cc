@@ -6,19 +6,6 @@
 
 namespace numaws {
 
-TaskGroup::TaskGroup() = default;
-
-TaskGroup::~TaskGroup()
-{
-    // A group must not die with live children; sync here as a safety net
-    // (mirrors the implicit cilk_sync at the end of every Cilk function).
-    if (pending() > 0) {
-        Worker *w = Worker::current();
-        NUMAWS_ASSERT(w != nullptr);
-        w->helpSync(*this);
-    }
-}
-
 void
 TaskGroup::sync()
 {

@@ -8,12 +8,6 @@
 
 namespace numaws {
 
-namespace {
-
-thread_local Worker *tlsWorker = nullptr;
-
-} // namespace
-
 void
 WorkerCounters::merge(const WorkerCounters &o)
 {
@@ -89,12 +83,6 @@ Worker::Worker(Runtime &runtime, int id, int place, uint64_t seed,
     _placeLeader = id == first;
 }
 
-Worker *
-Worker::current()
-{
-    return tlsWorker;
-}
-
 void
 Worker::publishOwnDequeAndNotify()
 {
@@ -127,15 +115,15 @@ TaskBase *
 Worker::acquireLocal()
 {
     // Work path first: the tail of the own deque...
-    if (TaskBase *t = _deque.popTail()) {
-        // Publish the *actual* state, not just the pop-to-empty edge: a
-        // thief's dry-probe repair can race a push and wrongly clear the
-        // bit, and a worker draining a deep deque would otherwise never
-        // re-assert it. Edge-triggered publish makes the common
-        // (unchanged) case one relaxed load. This is also the repair
-        // point for the spawn path's published-bit cache, so it stays
-        // an unconditional call.
-        const bool nonempty = !_deque.empty();
+    bool nonempty;
+    if (TaskBase *t = _deque.popTail(nonempty)) {
+        // Publish the *actual* state (as the pop's head read saw it), not
+        // just the pop-to-empty edge: a thief's dry-probe repair can race
+        // a push and wrongly clear the bit, and a worker draining a deep
+        // deque would otherwise never re-assert it. Edge-triggered
+        // publish makes the common (unchanged) case one relaxed load.
+        // This is also the repair point for the spawn path's
+        // published-bit cache, so it stays an unconditional call.
         _runtime.board().publishDeque(_id, nonempty);
         _dequeBitPublished = nonempty;
         return t;
@@ -331,6 +319,34 @@ Worker::executeTask(TaskBase *task)
                          std::memory_order_relaxed);
 }
 
+// Inline into helpSync, its only caller: a nested join then holds one
+// frame less per level of recursion.
+inline void
+Worker::runLocalChild(TaskBase *task, TaskGroup &group)
+{
+    // A wait that went dry and stole is Idle, so re-enter Work (one
+    // compare on the common path).
+    enterBucket(TimeSplit::Work);
+    const Place prev_hint = _currentHint;
+    _currentHint = task->place();
+    ++_counters.tasksExecuted;
+    if (isConcretePlace(task->place()) && task->place() == _place)
+        ++_counters.tasksOnHintedPlace;
+    try {
+        task->run(*this);
+    } catch (...) {
+        group.recordException(std::current_exception());
+    }
+    _currentHint = prev_hint;
+    // The owner runs it, so the plain owner-side increment is exact even
+    // for a child that left and came back through the mailbox (stolen()
+    // set): only a completion on another thread needs the atomic.
+    group.onChildDone(/*stolen=*/false);
+    releaseTask(task);
+    _progressStamp.store(_progressStamp.load(std::memory_order_relaxed) + 1,
+                         std::memory_order_relaxed);
+}
+
 void
 Worker::serviceYield()
 {
@@ -383,11 +399,20 @@ Worker::helpSync(TaskGroup &group)
     // deque — our descendants, the work path — stays Work with no
     // clock read; the wait turns Idle only once the deque and mailbox
     // are dry and we have to steal.
+    //
+    // Our own children — popped back from the deque or returned through
+    // the mailbox — take the lean runLocalChild; everything else
+    // (ancestors' children below them on the deque, other groups'
+    // mailbox frames, steals) carries its own job and takes executeTask.
     while (group.pending() > 0) {
-        TaskBase *t = acquireLocal();
-        if (t == nullptr)
-            t = stealWhenDry();
-        if (t != nullptr)
+        if (TaskBase *t = acquireLocal()) {
+            if (t->group() == &group)
+                runLocalChild(t, group);
+            else
+                executeTask(t);
+            continue;
+        }
+        if (TaskBase *t = stealWhenDry())
             executeTask(t);
         else
             for (int i = 0; i < 32 && group.pending() > 0; ++i)
@@ -497,7 +522,7 @@ Worker::retirePark()
 void
 Worker::mainLoop()
 {
-    tlsWorker = this;
+    tlsCurrent = this;
     // Data-plane thread binding: numa::allocate on this thread routes
     // through our NUMA-local heap (fast path) and the runtime's arena.
     numa::bindThread(numa::ThreadBinding{
@@ -592,7 +617,7 @@ Worker::mainLoop()
     // Flush the final segment (a same-bucket switch reads nothing).
     chargeOpenSegment(nowNs());
     numa::unbindThread();
-    tlsWorker = nullptr;
+    tlsCurrent = nullptr;
 }
 
 } // namespace numaws

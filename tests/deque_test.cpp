@@ -1,8 +1,9 @@
 /**
  * @file
  * THE-protocol deque tests: sequential LIFO/FIFO semantics, the
- * one-element owner/thief conflict, and a multithreaded stress test
- * checking that every pushed item is extracted exactly once.
+ * one-element owner/thief conflict, and multithreaded stress tests
+ * (a deep deque, and a one-element race every round) checking that
+ * every pushed item is extracted exactly once.
  */
 #include <gtest/gtest.h>
 
@@ -86,6 +87,38 @@ TEST(WsDeque, WrapsAroundRingBuffer)
     }
 }
 
+TEST(WsDeque, PopReportsWhetherItemsRemain)
+{
+    WsDeque<Node> d(8);
+    Node a{1}, b{2};
+    d.pushTail(&a);
+    d.pushTail(&b);
+    bool more = false;
+    EXPECT_EQ(d.popTail(more), &b);
+    EXPECT_TRUE(more);
+    EXPECT_EQ(d.popTail(more), &a);
+    EXPECT_FALSE(more);
+    more = true;
+    EXPECT_EQ(d.popTail(more), nullptr);
+    EXPECT_FALSE(more);
+}
+
+TEST(WsDeque, CapacityRoundsUpToPowerOfTwo)
+{
+    // Three requested slots become four: four items fit and wrap.
+    WsDeque<Node> d(3);
+    Node n[4] = {{0}, {1}, {2}, {3}};
+    for (int round = 0; round < 5; ++round) {
+        for (auto &x : n)
+            d.pushTail(&x);
+        EXPECT_EQ(d.stealHead(), &n[0]);
+        EXPECT_EQ(d.popTail(), &n[3]);
+        EXPECT_EQ(d.popTail(), &n[2]);
+        EXPECT_EQ(d.stealHead(), &n[1]);
+        EXPECT_TRUE(d.empty());
+    }
+}
+
 /** Owner pushes/pops while thieves steal; every node must be extracted
  * exactly once across all parties. */
 TEST(WsDequeStress, NoLossNoDuplication)
@@ -146,6 +179,50 @@ TEST(WsDequeStress, NoLossNoDuplication)
 
     EXPECT_EQ(total.load(), kItems);
     for (int i = 0; i < kItems; ++i)
+        ASSERT_EQ(extracted[i].load(), 1) << "item " << i;
+}
+
+/** The one-element race, every round: the owner pushes one item and
+ * pops it straight back while thieves keep stealing, so each extraction
+ * runs popTail's and stealHead's store-load handshakes against each
+ * other (and the owner's lock path). Each item must be extracted
+ * exactly once, by the owner or by a thief. */
+TEST(WsDequeStress, OneElementRaceExtractsEachItemOnce)
+{
+    constexpr int kRounds = 100000;
+    constexpr int kThieves = 3;
+    WsDeque<Node> d(16);
+    std::vector<Node> nodes(kRounds);
+    for (int i = 0; i < kRounds; ++i)
+        nodes[i].value = i;
+
+    std::vector<std::atomic<int>> extracted(kRounds);
+    for (auto &e : extracted)
+        e.store(0);
+    std::atomic<bool> done{false};
+
+    std::vector<std::thread> thieves;
+    for (int t = 0; t < kThieves; ++t) {
+        thieves.emplace_back([&] {
+            while (!done.load(std::memory_order_acquire))
+                if (Node *n = d.stealHead())
+                    extracted[n->value].fetch_add(1);
+        });
+    }
+
+    for (int i = 0; i < kRounds; ++i) {
+        d.pushTail(&nodes[i]);
+        if (Node *n = d.popTail())
+            extracted[n->value].fetch_add(1);
+    }
+    done.store(true, std::memory_order_release);
+    for (auto &t : thieves)
+        t.join();
+
+    // Every round left the deque empty: whoever lost the race retreated.
+    EXPECT_TRUE(d.empty());
+    EXPECT_EQ(d.stealHead(), nullptr);
+    for (int i = 0; i < kRounds; ++i)
         ASSERT_EQ(extracted[i].load(), 1) << "item " << i;
 }
 

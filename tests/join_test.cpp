@@ -3,9 +3,11 @@
  * TaskGroup join-counter coverage: the owner-local counter (plain
  * spawn/local-completion counts, an atomic only for children that left
  * the worker) under real stealing, mailbox routing, stolen-child
- * exceptions, nesting, and the destructor's implicit sync.
+ * exceptions, nesting, and the destructor's implicit sync; and the
+ * join's lean path (Worker::runLocalChild, for the joining group's own
+ * children) beside the full executeTask path it keeps for other tasks.
  *
- * Every test runs 200 jobs on 4 workers over 2 places. A "holder" child
+ * Every test runs 200 jobs, most on 4 workers over 2 places. A "holder" child
  * — spawned last, so the owner pops it first inside sync() — keeps the
  * owner inside sync until a sibling has run elsewhere. Its waits yield
  * and are bounded, so a host that never steals only weakens coverage,
@@ -36,6 +38,41 @@ fourWorkersTwoPlaces()
     o.numWorkers = 4;
     o.numPlaces = 2;
     return o;
+}
+
+RuntimeOptions
+oneWorker()
+{
+    RuntimeOptions o;
+    o.numWorkers = 1;
+    return o;
+}
+
+int64_t
+outstandingFrames(Runtime &rt)
+{
+    int64_t n = 0;
+    for (int w = 0; w < rt.numWorkers(); ++w)
+        n += rt.worker(w).framePool().outstanding();
+    return n;
+}
+
+/** Frames still live once every run has returned, waiting (bounded) for
+ * thieves that finished a stolen child after its join — a thief bumps
+ * the group's counter before it routes the frame home. No worker
+ * allocates or frees locally between runs, so the owner-written pool
+ * counters are quiescent here. */
+int64_t
+settledOutstandingFrames(Runtime &rt)
+{
+    const auto limit =
+        std::chrono::steady_clock::now() + std::chrono::seconds(1);
+    int64_t n = outstandingFrames(rt);
+    while (n != 0 && std::chrono::steady_clock::now() < limit) {
+        std::this_thread::yield();
+        n = outstandingFrames(rt);
+    }
+    return n;
 }
 
 int
@@ -225,6 +262,139 @@ TEST(TaskGroupJoin, StolenChildExceptionRethrownAtSync)
     }
     EXPECT_EQ(caught, kIterations);
     EXPECT_GT(stolen_throws, 0) << "no throwing child was ever stolen";
+}
+
+/**
+ * The lean path's exception plumbing: a child spawned last — so the
+ * owner pops it first, inside sync(), on Worker::runLocalChild — throws
+ * while its siblings are still pending. sync() must keep joining and
+ * rethrow only once every sibling has finished, and every frame must
+ * come back to its pool. The thrower is hinted at the owner's place
+ * (the root runs unhinted), so it also checks the lean path's hint.
+ */
+void
+localChildThrowsBeforeSiblings(Runtime &rt, int *lean_throws)
+{
+    constexpr int kSiblings = 8;
+    for (int it = 0; it < kIterations; ++it) {
+        bool rethrown = false;
+        int done_at_rethrow = -1;
+        int64_t pending_after = -1;
+        bool on_owner = false;
+        bool hint_ok = false;
+        rt.run([&] {
+            const int owner = workerId();
+            const Place home = currentPlace();
+            std::atomic<int> siblings_done{0};
+            std::atomic<bool> threw_on_owner{false};
+            TaskGroup tg;
+            for (int i = 0; i < kSiblings; ++i)
+                tg.spawn([&siblings_done] {
+                    briefWork();
+                    siblings_done.fetch_add(1);
+                });
+            tg.spawn(
+                [&threw_on_owner, &hint_ok, owner, home] {
+                    if (workerId() == owner)
+                        threw_on_owner.store(true);
+                    hint_ok = Worker::current()->currentHint() == home;
+                    throw std::runtime_error("local child");
+                },
+                home);
+            try {
+                tg.sync();
+            } catch (const std::runtime_error &) {
+                rethrown = true;
+                done_at_rethrow = siblings_done.load();
+            }
+            pending_after = tg.pending();
+            on_owner = threw_on_owner.load();
+        });
+        ASSERT_TRUE(rethrown) << "iteration " << it;
+        ASSERT_EQ(done_at_rethrow, kSiblings) << "iteration " << it;
+        ASSERT_EQ(pending_after, 0) << "iteration " << it;
+        ASSERT_TRUE(hint_ok) << "iteration " << it;
+        *lean_throws += on_owner ? 1 : 0;
+    }
+    EXPECT_EQ(settledOutstandingFrames(rt), 0);
+}
+
+TEST(TaskGroupJoin, LocalChildExceptionWaitsForSiblingsOneWorker)
+{
+    Runtime rt(oneWorker());
+    int lean_throws = 0;
+    localChildThrowsBeforeSiblings(rt, &lean_throws);
+    EXPECT_EQ(lean_throws, kIterations);
+}
+
+TEST(TaskGroupJoin, LocalChildExceptionWaitsForSiblingsFourWorkers)
+{
+    Runtime rt(fourWorkersTwoPlaces());
+    int lean_throws = 0;
+    localChildThrowsBeforeSiblings(rt, &lean_throws);
+    EXPECT_GT(lean_throws, 0) << "the thrower never ran on its owner";
+}
+
+TEST(TaskGroupJoin, OuterGroupTaskPoppedBySyncKeepsItsJobAndHint)
+{
+    // The inner group's child C is the oldest entry on the deque, so a
+    // thief takes it; the outer group's task X, hinted at the other
+    // place, is the youngest, so inner.sync() pops it back itself. X is
+    // not the joined group's child and must run with its own context —
+    // its hint and its job — and complete on its own group.
+    Runtime rt(fourWorkersTwoPlaces());
+    int covered = 0;
+    for (int it = 0; it < kIterations; ++it) {
+        bool hint_ok = false;
+        bool job_ok = false;
+        int64_t inner_after = -1;
+        int64_t outer_after = -1;
+        bool popped_by_sync = false;
+        rt.run([&] {
+            const int owner = workerId();
+            const Place other = 1 - currentPlace();
+            JobState *const job = Worker::current()->currentJob();
+            std::atomic<bool> c_away{false};
+            std::atomic<bool> x_ran{false};
+            std::atomic<bool> x_on_owner{false};
+            TaskGroup outer;
+            {
+                TaskGroup inner;
+                inner.spawn([&, owner] {
+                    if (workerId() != owner) {
+                        c_away.store(true, std::memory_order_release);
+                        holdUntil(x_ran);
+                    }
+                    briefWork();
+                });
+                outer.spawn(
+                    [&, owner, other, job] {
+                        Worker *w = Worker::current();
+                        hint_ok = w->currentHint() == other;
+                        job_ok = job != nullptr && w->currentJob() == job;
+                        // The owner runs X only inside inner.sync().
+                        if (workerId() == owner) {
+                            x_on_owner.store(true);
+                            holdUntil(c_away);
+                        }
+                        x_ran.store(true, std::memory_order_release);
+                    },
+                    other);
+                inner.sync();
+                inner_after = inner.pending();
+            }
+            outer.sync();
+            outer_after = outer.pending();
+            popped_by_sync = x_on_owner.load() && c_away.load();
+        });
+        ASSERT_TRUE(hint_ok) << "iteration " << it;
+        ASSERT_TRUE(job_ok) << "iteration " << it;
+        ASSERT_EQ(inner_after, 0) << "iteration " << it;
+        ASSERT_EQ(outer_after, 0) << "iteration " << it;
+        covered += popped_by_sync ? 1 : 0;
+    }
+    EXPECT_GT(covered, 0)
+        << "inner.sync() never ran the outer task while its child was away";
 }
 
 TEST(TaskGroupJoin, NestedGroups)

@@ -191,6 +191,19 @@ TEST(Runtime, StatsCountSpawnsAndTasks)
     EXPECT_EQ(s.counters.spawns, 50u);
     // 50 spawned tasks + 1 root.
     EXPECT_EQ(s.counters.tasksExecuted, 51u);
+
+    // One worker, nested groups: every child is popped back by its own
+    // group's sync and runs on the join's lean path, which must count
+    // it and recycle its frame exactly like executeTask. The first run
+    // warms the frame pool, so the second allocates no fresh frame.
+    Runtime one(smallOptions(1));
+    EXPECT_EQ(workloads::fibParallel(one, 20, 2), workloads::fibSerial(20));
+    one.resetStats();
+    EXPECT_EQ(workloads::fibParallel(one, 20, 2), workloads::fibSerial(20));
+    const RuntimeStats f = one.stats();
+    EXPECT_GT(f.counters.spawns, 0u);
+    EXPECT_EQ(f.counters.tasksExecuted, f.counters.spawns + 1);
+    EXPECT_EQ(f.counters.framesRecycled, f.counters.spawns);
 }
 
 TEST(Runtime, ApiQueriesInsideAndOutside)
