@@ -27,7 +27,7 @@ NumaHeap::allocateSlow(int cls)
         DataBlockHeader *h = _freeHead[cls];
         NUMAWS_ASSERT(h->state == kBlockFree);
         _freeHead[cls] = h->next;
-        ++_blocksRecycled;
+        relaxedAdd(_blocksRecycled);
         return h;
     }
     const std::size_t block = kHeaderBytes + kClassPayload[cls];
@@ -38,7 +38,7 @@ NumaHeap::allocateSlow(int cls)
             // Graceful degradation: numa::allocate treats a nullptr
             // from the heap as "route this block elsewhere", so a
             // failed carve widens the existing fallback path.
-            ++_slabFallbacks;
+            relaxedAdd(_slabFallbacks);
             return nullptr;
         }
         // First touch by the owning thread — on a real NUMA kernel this
@@ -46,7 +46,7 @@ NumaHeap::allocateSlow(int cls)
         // them.
         std::memset(slab, 0, kSlabBytes);
         _slabs.push_back(slab);
-        _slabBytes += kSlabBytes;
+        relaxedAdd(_slabBytes, kSlabBytes);
         _bumpPtr = static_cast<char *>(slab);
         _bumpEnd = _bumpPtr + kSlabBytes;
     }

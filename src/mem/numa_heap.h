@@ -34,6 +34,7 @@
 #include "mem/numa_arena.h"
 #include "support/cache_aligned.h"
 #include "support/panic.h"
+#include "support/relaxed.h"
 #include "topology/place.h"
 
 namespace numaws {
@@ -169,15 +170,15 @@ class NumaHeap
         if (h != nullptr) {
             NUMAWS_ASSERT(h->state == kBlockFree);
             _freeHead[cls] = h->next;
-            ++_blocksRecycled;
+            relaxedAdd(_blocksRecycled);
         } else {
             h = allocateSlow(cls);
             if (h == nullptr)
                 return nullptr; // carve failed; caller falls through
         }
         h->state = kBlockLive;
-        ++_blocksAllocated;
-        _bytesPooled += bytes;
+        relaxedAdd(_blocksAllocated);
+        relaxedAdd(_bytesPooled, bytes);
         return payloadOf(h);
     }
 
@@ -191,7 +192,7 @@ class NumaHeap
         const int cls = static_cast<int>(h->sizeClass);
         h->next = _freeHead[cls];
         _freeHead[cls] = h;
-        ++_localFrees;
+        relaxedAdd(_localFrees);
     }
 
     /**
@@ -226,44 +227,32 @@ class NumaHeap
         return drainRemoteSlow();
     }
 
-    /** @name Counters (owner-read except remoteFrees; fold via Worker) */
+    /** @name Counters since construction
+     * Owner-written single-writer words (support/relaxed.h) except the
+     * cross-thread remoteFrees; any thread may read them. */
     /// @{
-    uint64_t bytesPooled() const { return _bytesPooled; }
-    uint64_t blocksRecycled() const { return _blocksRecycled; }
-    uint64_t localFrees() const { return _localFrees; }
+    uint64_t bytesPooled() const { return relaxedLoad(_bytesPooled); }
+    uint64_t blocksRecycled() const { return relaxedLoad(_blocksRecycled); }
     uint64_t
     remoteFrees() const
     {
         return _remoteFrees.load(std::memory_order_relaxed);
     }
-    uint64_t slabBytes() const { return _slabBytes; }
+    uint64_t slabBytes() const { return relaxedLoad(_slabBytes); }
     uint64_t slabsCarved() const { return _slabs.size(); }
     /** Carve attempts that failed and degraded this allocation to a
      * plain-heap block (graceful OOM; see NumaArena::carveSlab). */
-    uint64_t slabFallbacks() const { return _slabFallbacks; }
+    uint64_t slabFallbacks() const { return relaxedLoad(_slabFallbacks); }
 
     /** Blocks live right now = allocations minus frees since
-     * construction or the last resetCounters() (exact when quiescent;
-     * a nonzero value at quiescence is a leak). */
+     * construction (exact when quiescent; a nonzero value at
+     * quiescence is a leak). */
     int64_t
     outstanding() const
     {
-        return static_cast<int64_t>(_blocksAllocated)
-               - static_cast<int64_t>(_localFrees)
+        return static_cast<int64_t>(relaxedLoad(_blocksAllocated))
+               - static_cast<int64_t>(relaxedLoad(_localFrees))
                - static_cast<int64_t>(remoteFrees());
-    }
-
-    void
-    resetCounters()
-    {
-        _bytesPooled = 0;
-        _blocksAllocated = 0;
-        _blocksRecycled = 0;
-        _localFrees = 0;
-        _slabFallbacks = 0;
-        _remoteFrees.store(0, std::memory_order_relaxed);
-        // Slab gauges deliberately survive: carved memory does not
-        // un-carve on a stats reset.
     }
     /// @}
 

@@ -59,6 +59,7 @@
 #include "support/latency_hist.h"
 #include "support/panic.h"
 #include "support/pressure.h"
+#include "support/relaxed.h"
 #include "support/rng.h"
 #include "support/spin_lock.h"
 #include "support/timing.h"
@@ -87,7 +88,7 @@ enum class ShutdownPolicy : uint8_t
 /**
  * Runtime construction parameters: engine-side knobs only. Every
  * scheduling *decision* knob (victim selection, parking, PUSHBACK
- * targeting, mailbox capacity, ...) lives in the nested
+ * targeting, ...) lives in the nested
  * SchedPolicy, shared verbatim with the simulator's SimConfig — see
  * sched/policy.h for the full table and PR 4 migration notes.
  */
@@ -142,7 +143,8 @@ struct RuntimeOptions
     int watchdogMs = 0;
 };
 
-/** Per-worker event counters, aggregated by Runtime::stats(). */
+/** Per-worker event counters, aggregated by Runtime::stats(). Each field
+ * of a worker's live copy is a single-writer word (support/relaxed.h). */
 struct WorkerCounters
 {
     uint64_t spawns = 0;
@@ -156,17 +158,17 @@ struct WorkerCounters
     uint64_t tasksOnHintedPlace = 0; ///< hinted tasks run where hinted
     /** Decision counters (stealAttempts above, and yields below) are
      * maintained by each worker's StealCore — the shared policy brain —
-     * and folded in by Runtime::stats() via Worker::foldCoreCounters. */
+     * and folded in by Worker::fold. */
     uint64_t yields = 0;             ///< preemption yields serviced
     /** Jobs claimed at an aged (promoted) effective class — the
-     * priority-aging counter, bumped runtime-wide by takeJobAbove. */
+     * priority-aging counter, bumped by the claiming worker. */
     uint64_t agedClaims = 0;
     /** @name Task-frame pool counters
      * Maintained by each worker's TaskFramePool and folded in by
-     * Runtime::stats() via Worker::foldPoolCounters. framesRecycled /
-     * spawns is the steady-state figure of merit (~1.0 once the pool
-     * is warm); remoteFrees counts frames thieves pushed home across
-     * workers; slabBytes is a gauge of carved pool memory. */
+     * Worker::fold. framesRecycled / spawns is the steady-state figure
+     * of merit (~1.0 once the pool is warm); remoteFrees counts frames
+     * thieves pushed home across workers; slabBytes is a gauge of
+     * carved pool memory. */
     /// @{
     uint64_t framesRecycled = 0; ///< pool allocations served from a free list
     uint64_t remoteFrees = 0;    ///< frames freed onto a remote-free stack
@@ -175,7 +177,7 @@ struct WorkerCounters
     /// @}
     /** @name Data-plane counters
      * Maintained by each worker's NumaHeap (the user-data sibling of
-     * the frame pool) and folded in via Worker::foldDataCounters.
+     * the frame pool) and folded in by Worker::fold.
      * dataBytesPooled is user bytes served from the size-classed fast
      * path; dataRemoteFrees counts blocks freed cross-thread onto a
      * remote stack; dataSlabBytes gauges carved heap memory. */
@@ -186,12 +188,8 @@ struct WorkerCounters
     uint64_t dataSlabFallbacks = 0; ///< failed carves, plain-heap blocks
     /// @}
     /** @name Parking counters
-     * Unlike every other counter (written only while executing or
-     * stealing inside an active root), these advance on the idle path
-     * too — workers park while the runtime is quiescent — so the
-     * live per-worker copies are atomics on Worker and stats() folds
-     * them in; these aggregate fields are plain (single-threaded
-     * aggregation only). */
+     * Unlike the others these advance on the idle path too: workers
+     * park while the runtime is quiescent. */
     /// @{
     uint64_t parks = 0;              ///< idleWait entries
     uint64_t parkWakes = 0;          ///< parks ended by a notification
@@ -199,20 +197,22 @@ struct WorkerCounters
     uint64_t spuriousWakes = 0;      ///< wakes with a still-dry board
     /** Nanoseconds spent parked in idleWait: the elastic-pool yield
      * metric (parkedNs over total worker-idle time is the fraction of
-     * idleness actually handed back to the OS). Atomic on Worker for
-     * the same reason as the park counters. */
+     * idleness actually handed back to the OS). */
     uint64_t parkedNs = 0;
     /** Interference adaptation (ServingPolicy::interference): times
      * this worker entered retirement (parked by the InterferenceCore
-     * verdict) and times it was reinstated. Idle-path counters like
-     * the park group: atomics on Worker, folded by stats(). */
+     * verdict) and times it was reinstated. */
     uint64_t interferenceRetires = 0;
     uint64_t interferenceReinstates = 0;
     /// @}
     /** Jobs whose root completed on this worker (serving front door). */
     uint64_t jobsCompleted = 0;
 
+    /** Add @p o, read with relaxedLoad: it may be a worker's live copy. */
     void merge(const WorkerCounters &o);
+    /** Remove baseline @p base, except the gauges slabBytes and
+     * dataSlabBytes: carved memory survives a resetStats(). */
+    void subtract(const WorkerCounters &base);
 };
 
 /** Per-class job-resolution tallies (overload-protection telemetry).
@@ -227,6 +227,17 @@ struct JobOutcomeCounts
     uint64_t expired = 0;
     uint64_t rejected = 0;
     uint64_t shed = 0;
+
+    void
+    subtract(const JobOutcomeCounts &base)
+    {
+        done -= base.done;
+        failed -= base.failed;
+        cancelled -= base.cancelled;
+        expired -= base.expired;
+        rejected -= base.rejected;
+        shed -= base.shed;
+    }
 };
 
 /** Aggregated runtime statistics (counters plus the time split). */
@@ -244,6 +255,17 @@ struct RuntimeStats
     LatencyHist jobLatencyByClass[kNumJobClasses];
     /** Per-class outcome tallies (index with static_cast<int>(cls)). */
     JobOutcomeCounts jobOutcomes[kNumJobClasses];
+
+    /** Remove a resetStats() baseline; not from the histograms (a min or
+     * max cannot be subtracted). */
+    void
+    subtract(const RuntimeStats &base)
+    {
+        counters.subtract(base.counters);
+        time.subtract(base.time);
+        for (int c = 0; c < kNumJobClasses; ++c)
+            jobOutcomes[c].subtract(base.jobOutcomes[c]);
+    }
 };
 
 /**
@@ -437,82 +459,27 @@ class Worker
     void serviceYield();
     /// @}
 
+    /** Owner-only: bump a field with relaxedAdd. */
     WorkerCounters &counters() { return _counters; }
-    TimeSplit &timeSplit() { return _time; }
-    /** Fold the StealCore decision counters into @p into
-     * (Runtime::stats). */
-    void
-    foldCoreCounters(WorkerCounters &into) const
-    {
-        const StealCoreCounters &c = _core.counters();
-        into.stealAttempts += c.stealAttempts;
-        into.yields += c.yields;
-    }
-    /** Fold the task-frame pool counters into @p into (Runtime::stats). */
-    void
-    foldPoolCounters(WorkerCounters &into) const
-    {
-        into.framesRecycled += _framePool.framesRecycled();
-        into.remoteFrees += _framePool.remoteFrees();
-        into.slabBytes += _framePool.slabBytes();
-        into.slabFallbacks += _framePool.slabFallbacks();
-    }
-    /** Fold the user-data heap counters into @p into (Runtime::stats). */
-    void
-    foldDataCounters(WorkerCounters &into) const
-    {
-        into.dataBytesPooled += _dataHeap.bytesPooled();
-        into.dataRemoteFrees += _dataHeap.remoteFrees();
-        into.dataSlabBytes += _dataHeap.slabBytes();
-        into.dataSlabFallbacks += _dataHeap.slabFallbacks();
-    }
-    /** Fold the atomic park counters into @p into (Runtime::stats). */
-    void
-    foldParkCounters(WorkerCounters &into) const
-    {
-        into.parks += _parks.load(std::memory_order_relaxed);
-        into.parkWakes += _parkWakes.load(std::memory_order_relaxed);
-        into.parkTimeouts +=
-            _parkTimeouts.load(std::memory_order_relaxed);
-        into.spuriousWakes +=
-            _spuriousWakes.load(std::memory_order_relaxed);
-        into.parkedNs += _parkedNs.load(std::memory_order_relaxed);
-        into.interferenceRetires +=
-            _interferenceRetires.load(std::memory_order_relaxed);
-        into.interferenceReinstates +=
-            _interferenceReinstates.load(std::memory_order_relaxed);
-    }
-    void
-    resetParkCounters()
-    {
-        _parks.store(0, std::memory_order_relaxed);
-        _parkWakes.store(0, std::memory_order_relaxed);
-        _parkTimeouts.store(0, std::memory_order_relaxed);
-        _spuriousWakes.store(0, std::memory_order_relaxed);
-        _parkedNs.store(0, std::memory_order_relaxed);
-        _interferenceRetires.store(0, std::memory_order_relaxed);
-        _interferenceReinstates.store(0, std::memory_order_relaxed);
-    }
     /** Record a completed job's serving latency (Runtime::finishJob;
      * job roots always finish on a worker, so this is thread-private). */
     void
     recordJobLatency(JobClass cls, int64_t ns)
     {
-        ++_counters.jobsCompleted;
+        relaxedAdd(_counters.jobsCompleted);
         _jobHist[static_cast<int>(cls)].record(
             ns > 0 ? static_cast<uint64_t>(ns) : 0);
     }
-    /** Merge this worker's per-class job histograms (Runtime::stats). */
+    /**
+     * Add this worker's statistics to @p into (Runtime::stats): its
+     * counters, time split and job histograms, plus the StealCore,
+     * frame-pool and data-heap counters. Every word is single-writer
+     * and read with relaxedLoad, so the worker may be running.
+     */
+    void fold(RuntimeStats &into) const;
+    /** Empty the job histograms (Runtime::resetStats, quiescent). */
     void
-    foldJobHists(RuntimeStats &into) const
-    {
-        for (int c = 0; c < kNumJobClasses; ++c) {
-            into.jobLatency.merge(_jobHist[c]);
-            into.jobLatencyByClass[c].merge(_jobHist[c]);
-        }
-    }
-    void
-    resetJobHists()
+    clearJobHists()
     {
         for (LatencyHist &h : _jobHist)
             h = LatencyHist{};
@@ -525,7 +492,7 @@ class Worker
     uint64_t
     progressStamp() const
     {
-        return _progressStamp.load(std::memory_order_relaxed);
+        return relaxedLoad(_progressStamp);
     }
     /** Is the worker inside idleWait (or retired-parked) right now? */
     bool
@@ -565,13 +532,12 @@ class Worker
     /** Help execute work until @p group has no pending children. */
     void helpSync(TaskGroup &group);
     /** Help execute work — queued jobs included, so nested
-     * submit-and-wait cannot deadlock — until @p job completes
-     * (the worker-side JobHandle::wait). */
-    void helpJob(const JobState &job);
-    /** Bounded helpJob: stop once nowNs() passes @p deadline_ns (the
-     * worker-side JobHandle::waitUntil). Returns whether @p job is
-     * done. */
+     * submit-and-wait cannot deadlock — until @p job completes or
+     * nowNs() passes @p deadline_ns (the worker-side JobHandle::wait
+     * with kNoDeadline, which reads no clock, and waitUntil). Returns
+     * whether @p job is done. */
     bool helpJobUntil(const JobState &job, int64_t deadline_ns);
+    static constexpr int64_t kNoDeadline = INT64_MAX;
     /** Execute @p task, maintaining hint inheritance and accounting. */
     void executeTask(TaskBase *task);
     /** executeTask's lean twin for a child of @p group popped back by
@@ -681,19 +647,10 @@ class Worker
      * park streaks/tuning) routes through here — the same
      * core the simulator drives, so the engines cannot diverge. */
     StealCore _core;
-    /** Park accounting advances while the runtime is quiescent (idle
-     * workers park between runs), so a concurrent stats() read must
-     * not race it: atomics, relaxed (counters, not synchronization). */
-    std::atomic<uint64_t> _parks{0};
-    std::atomic<uint64_t> _parkWakes{0};
-    std::atomic<uint64_t> _parkTimeouts{0};
-    std::atomic<uint64_t> _spuriousWakes{0};
-    /** Time actually spent parked in idleWait (elastic-pool metric). */
-    std::atomic<uint64_t> _parkedNs{0};
     /** @name Interference-adaptation state (ServingPolicy::interference)
-     * The sensor and epoch cadence are owner-only; the flags and
-     * counters are atomics because the watchdog and stats() read them
-     * from other threads (relaxed — diagnosis, not synchronization). */
+     * The sensor and epoch cadence are owner-only; the flag is atomic
+     * because the watchdog reads it from another thread (relaxed —
+     * diagnosis, not synchronization). */
     /// @{
     PressureSensor _pressureSensor;
     /** Cached serving.interference == Adapt (work-first: the idle-path
@@ -707,19 +664,17 @@ class Worker
     int _placeWorkers = 1; ///< workers sharing this worker's place
     bool _placeLeader = false;
     std::atomic<bool> _retiredNow{false};
-    std::atomic<uint64_t> _interferenceRetires{0};
-    std::atomic<uint64_t> _interferenceReinstates{0};
     /// @}
     /** @name Watchdog liveness state (RuntimeOptions::watchdogMs) */
     /// @{
     std::atomic<bool> _parkedNow{false};
-    /** Single writer (this worker): bumped with a relaxed load+store,
-     * not an RMW; only the watchdog reads it from elsewhere. */
-    std::atomic<uint64_t> _progressStamp{0};
+    /** Single-writer word; only the watchdog reads it from elsewhere. */
+    uint64_t _progressStamp = 0;
     /// @}
     /** Per-class serving latency of jobs that completed here; folded
      * into RuntimeStats::jobLatency* by stats(). */
     LatencyHist _jobHist[kNumJobClasses];
+    /** Owner-written single-writer words, like _time. */
     WorkerCounters _counters;
     TimeSplit _time;
     TimeSplit::Bucket _bucket = TimeSplit::Idle;
@@ -793,8 +748,14 @@ class Runtime
     /** Workers on place @p p: [first, last). */
     std::pair<int, int> workersOfPlace(int p) const;
 
-    /** Aggregate statistics since construction or the last resetStats(). */
+    /** Aggregate statistics since construction or the last resetStats().
+     * Any thread may poll it while workers run; between two polls of
+     * one thread no counter decreases (until a reset). */
     RuntimeStats stats() const;
+    /** Store the current totals as the baseline stats() subtracts and
+     * empty the job latency histograms; no worker counter is written.
+     * Also restarts the pressure and interference state. Quiescent
+     * runtime only (no job active). */
     void resetStats();
 
     /** Jobs ever submitted (ids are 1-based submission order). */
@@ -898,6 +859,8 @@ class Runtime
 
   private:
     static Machine machineForPlaces(int places, int workers);
+    /** Every worker folded plus the outcome tallies, no baseline. */
+    RuntimeStats totals() const;
 
     /** Deposit an admitted job on the queue, apply QueueDelay shedding
      * (one victim per admission while overloaded), and fire the
@@ -938,9 +901,6 @@ class Runtime
     std::atomic<uint64_t> _jobsSubmitted{0};
     /** Round-robin cursor for unhinted admission wakes. */
     std::atomic<uint32_t> _admitCursor{0};
-    /** Jobs claimed at an aged effective class (priority aging
-     * telemetry); folded into WorkerCounters::agedClaims by stats(). */
-    std::atomic<uint64_t> _agedClaims{0};
     JobQueue _jobQueue;
     /** Admission-control / shedding decisions (sched/shed_core.h);
      * construction-initialized from _options.sched.serving. */
@@ -963,6 +923,10 @@ class Runtime
         std::atomic<uint64_t> shed{0};
     };
     AtomicOutcomeCounts _outcomes[kNumJobClasses];
+    /** The totals at the last resetStats(), subtracted by stats(). The
+     * mutex orders a reset against concurrent stats() calls. */
+    RuntimeStats _baseline;
+    mutable std::mutex _statsMutex;
 
     /** Signalled when _activeJobs drains to zero (destructor barrier). */
     std::mutex _quiesceMutex;
@@ -1064,7 +1028,7 @@ TaskGroup::spawn(F &&fn, Place place, const void *data,
     // any job), so stolen subtasks observe cancellation too.
     task->setJob(w->currentJob());
     onChildStart();
-    ++w->counters().spawns;
+    relaxedAdd(w->counters().spawns);
     w->pushTask(task);
     // Preemption boundary: the child just pushed is this job's
     // checkpointed continuation — it sits on the deque where thieves

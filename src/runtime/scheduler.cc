@@ -132,18 +132,18 @@ Runtime::workersOfPlace(int p) const
 RuntimeStats
 Runtime::stats() const
 {
+    std::lock_guard<std::mutex> g(_statsMutex);
+    RuntimeStats s = totals();
+    s.subtract(_baseline);
+    return s;
+}
+
+RuntimeStats
+Runtime::totals() const
+{
     RuntimeStats s;
-    for (const auto &w : _workers) {
-        s.counters.merge(const_cast<Worker &>(*w).counters());
-        w->foldParkCounters(s.counters);
-        w->foldCoreCounters(s.counters);
-        w->foldPoolCounters(s.counters);
-        w->foldDataCounters(s.counters);
-        w->foldJobHists(s);
-        s.time.merge(const_cast<Worker &>(*w).timeSplit());
-    }
-    s.counters.agedClaims +=
-        _agedClaims.load(std::memory_order_relaxed);
+    for (const auto &w : _workers)
+        w->fold(s);
     for (int c = 0; c < kNumJobClasses; ++c) {
         const AtomicOutcomeCounts &o = _outcomes[c];
         JobOutcomeCounts &d = s.jobOutcomes[c];
@@ -161,26 +161,17 @@ void
 Runtime::resetStats()
 {
     NUMAWS_ASSERT(!workActive());
-    for (auto &w : _workers) {
-        w->counters() = WorkerCounters{};
-        w->resetParkCounters();
-        w->resetJobHists();
-        w->core().resetCounters();
-        w->framePool().resetCounters();
-        w->dataHeap().resetCounters();
-        w->timeSplit() = TimeSplit{};
-    }
-    _agedClaims.store(0, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> g(_statsMutex);
+    // The histograms are the one thing cleared rather than subtracted
+    // (a min or max has no baseline). That writes worker-owned words,
+    // safely: finishJob records a job's latency before the job's
+    // acq_rel retire from _activeJobs, which the !workActive() acquire
+    // above synchronizes with, and no job runs until the next submit.
+    for (auto &w : _workers)
+        w->clearJobHists();
+    _baseline = totals();
     _pressure.reset();
     _interference.reset();
-    for (AtomicOutcomeCounts &o : _outcomes) {
-        o.done.store(0, std::memory_order_relaxed);
-        o.failed.store(0, std::memory_order_relaxed);
-        o.cancelled.store(0, std::memory_order_relaxed);
-        o.expired.store(0, std::memory_order_relaxed);
-        o.rejected.store(0, std::memory_order_relaxed);
-        o.shed.store(0, std::memory_order_relaxed);
-    }
 }
 
 bool
@@ -262,7 +253,7 @@ Runtime::takeJobAbove(int below_cls)
             continue;
         }
         if (promoted)
-            _agedClaims.fetch_add(1, std::memory_order_relaxed);
+            relaxedAdd(Worker::current()->counters().agedClaims);
         return job.root;
     }
 }

@@ -27,8 +27,8 @@ TaskFramePool::allocateSlow(int cls)
         c.freeList = h->next;
         NUMAWS_ASSERT(h->state == kFrameFree);
         h->state = kFrameLive;
-        ++_framesRecycled;
-        ++_framesAllocated;
+        relaxedAdd(_framesRecycled);
+        relaxedAdd(_framesAllocated);
         return objectOf(h);
     }
     const std::size_t frame = kClassBytes[cls];
@@ -40,7 +40,7 @@ TaskFramePool::allocateSlow(int cls)
             // from allocate() as "heap-allocate this frame" already
             // (oversized frames take it every day), so a failed carve
             // just widens that path and counts itself.
-            ++_slabFallbacks;
+            relaxedAdd(_slabFallbacks);
             return nullptr;
         }
         // First touch on the owning worker's thread: on a real NUMA
@@ -48,8 +48,7 @@ TaskFramePool::allocateSlow(int cls)
         // (the carveSlab contract; see mem/numa_arena.h).
         std::memset(slab, 0, kSlabBytes);
         _slabs.push_back(slab);
-        _slabBytes += kSlabBytes;
-        ++_slabsCarved;
+        relaxedAdd(_slabBytes, kSlabBytes);
         c.bumpPtr = static_cast<char *>(slab);
         c.bumpEnd = c.bumpPtr + kSlabBytes;
     }
@@ -59,7 +58,7 @@ TaskFramePool::allocateSlow(int cls)
     h->ownerWorker = _owner;
     h->sizeClass = static_cast<uint32_t>(cls);
     h->state = kFrameLive;
-    ++_framesAllocated;
+    relaxedAdd(_framesAllocated);
     return objectOf(h);
 }
 

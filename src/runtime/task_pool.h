@@ -49,6 +49,7 @@
 
 #include "support/cache_aligned.h"
 #include "support/panic.h"
+#include "support/relaxed.h"
 
 namespace numaws {
 
@@ -141,8 +142,8 @@ class TaskFramePool
             c.freeList = h->next;
             NUMAWS_ASSERT(h->state == kFrameFree);
             h->state = kFrameLive;
-            ++_framesRecycled;
-            ++_framesAllocated;
+            relaxedAdd(_framesRecycled);
+            relaxedAdd(_framesAllocated);
             return objectOf(h);
         }
         return allocateSlow(cls);
@@ -157,7 +158,7 @@ class TaskFramePool
         FreeClass &c = _classes[h->sizeClass];
         h->next = c.freeList;
         c.freeList = h;
-        ++_localFrees;
+        relaxedAdd(_localFrees);
     }
 
     /**
@@ -222,44 +223,31 @@ class TaskFramePool
     bool enabled() const { return _enabled; }
     int owner() const { return static_cast<int>(_owner); }
 
-    /** @name Counters (owner-written except remoteFrees; stats() reads
-     * racily like every other worker counter) */
+    /** @name Counters since construction
+     * Owner-written single-writer words (support/relaxed.h) except the
+     * thief-bumped remoteFrees; any thread may read them. */
     /// @{
-    uint64_t framesRecycled() const { return _framesRecycled; }
-    uint64_t framesAllocated() const { return _framesAllocated; }
-    uint64_t localFrees() const { return _localFrees; }
+    uint64_t framesRecycled() const { return relaxedLoad(_framesRecycled); }
     uint64_t
     remoteFrees() const
     {
         return _remoteFrees.load(std::memory_order_relaxed);
     }
-    uint64_t slabBytes() const { return _slabBytes; }
-    uint64_t slabsCarved() const { return _slabsCarved; }
+    uint64_t slabBytes() const { return relaxedLoad(_slabBytes); }
+    uint64_t slabsCarved() const { return slabBytes() / kSlabBytes; }
     /** Carve attempts that failed and degraded this allocation to the
      * caller's heap fallback (graceful OOM; see carveSlab). */
-    uint64_t slabFallbacks() const { return _slabFallbacks; }
+    uint64_t slabFallbacks() const { return relaxedLoad(_slabFallbacks); }
 
     /** Frames live right now = allocations minus frees since
-     * construction or the last resetCounters() (exact when quiescent;
-     * a nonzero value at quiescence is a leak). */
+     * construction (exact when quiescent; a nonzero value at
+     * quiescence is a leak). */
     int64_t
     outstanding() const
     {
-        return static_cast<int64_t>(_framesAllocated)
-               - static_cast<int64_t>(_localFrees)
+        return static_cast<int64_t>(relaxedLoad(_framesAllocated))
+               - static_cast<int64_t>(relaxedLoad(_localFrees))
                - static_cast<int64_t>(remoteFrees());
-    }
-
-    void
-    resetCounters()
-    {
-        _framesRecycled = 0;
-        _framesAllocated = 0;
-        _localFrees = 0;
-        _slabFallbacks = 0;
-        _remoteFrees.store(0, std::memory_order_relaxed);
-        // Slab gauges deliberately survive: carved memory does not
-        // un-carve on a stats reset.
     }
     /// @}
 
@@ -283,7 +271,6 @@ class TaskFramePool
     uint64_t _framesAllocated = 0;
     uint64_t _localFrees = 0;
     uint64_t _slabBytes = 0;
-    uint64_t _slabsCarved = 0;
     uint64_t _slabFallbacks = 0;
     /** Remote-free stack head — the only cross-thread word; on its own
      * cache line so thieves' pushes never false-share the owner's

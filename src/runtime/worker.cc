@@ -5,41 +5,43 @@
 #include "topology/affinity.h"
 
 #include <chrono>
+#include <iterator>
 
 namespace numaws {
+
+namespace {
+
+using W = WorkerCounters;
+using CounterField = uint64_t W::*;
+
+/** Every WorkerCounters field: the one list merge and subtract walk. */
+constexpr CounterField kCounterFields[] = {
+    &W::spawns, &W::stealAttempts, &W::steals, &W::mailboxTakes,
+    &W::pushbackAttempts, &W::pushbackSuccesses, &W::pushbackGiveUps,
+    &W::tasksExecuted, &W::tasksOnHintedPlace, &W::yields, &W::agedClaims,
+    &W::framesRecycled, &W::remoteFrees, &W::slabBytes, &W::slabFallbacks,
+    &W::dataBytesPooled, &W::dataRemoteFrees, &W::dataSlabBytes,
+    &W::dataSlabFallbacks, &W::parks, &W::parkWakes, &W::parkTimeouts,
+    &W::spuriousWakes, &W::parkedNs, &W::interferenceRetires,
+    &W::interferenceReinstates, &W::jobsCompleted};
+static_assert(std::size(kCounterFields) * sizeof(uint64_t) == sizeof(W),
+              "a WorkerCounters field is missing from kCounterFields");
+
+} // namespace
 
 void
 WorkerCounters::merge(const WorkerCounters &o)
 {
-    spawns += o.spawns;
-    stealAttempts += o.stealAttempts;
-    steals += o.steals;
-    mailboxTakes += o.mailboxTakes;
-    pushbackAttempts += o.pushbackAttempts;
-    pushbackSuccesses += o.pushbackSuccesses;
-    pushbackGiveUps += o.pushbackGiveUps;
-    tasksExecuted += o.tasksExecuted;
-    tasksOnHintedPlace += o.tasksOnHintedPlace;
-    yields += o.yields;
-    agedClaims += o.agedClaims;
-    framesRecycled += o.framesRecycled;
-    remoteFrees += o.remoteFrees;
-    slabBytes += o.slabBytes;
-    slabFallbacks += o.slabFallbacks;
-    dataBytesPooled += o.dataBytesPooled;
-    dataRemoteFrees += o.dataRemoteFrees;
-    dataSlabBytes += o.dataSlabBytes;
-    dataSlabFallbacks += o.dataSlabFallbacks;
-    parks += o.parks;
-    parkWakes += o.parkWakes;
-    parkTimeouts += o.parkTimeouts;
-    spuriousWakes += o.spuriousWakes;
-    parkedNs += o.parkedNs;
-    interferenceRetires += o.interferenceRetires;
-    interferenceReinstates += o.interferenceReinstates;
-    jobsCompleted += o.jobsCompleted;
-    // (The live park counters are atomics on Worker; Runtime::stats()
-    // folds them via foldParkCounters, so aggregates merge plainly.)
+    for (CounterField f : kCounterFields)
+        this->*f += relaxedLoad(o.*f);
+}
+
+void
+WorkerCounters::subtract(const WorkerCounters &base)
+{
+    for (CounterField f : kCounterFields)
+        if (f != &W::slabBytes && f != &W::dataSlabBytes)
+            this->*f -= base.*f;
 }
 
 Worker::Worker(Runtime &runtime, int id, int place, uint64_t seed,
@@ -81,6 +83,29 @@ Worker::Worker(Runtime &runtime, int id, int place, uint64_t seed,
     _placeWorkers = last - first;
     _retireRank = (last - 1) - id;
     _placeLeader = id == first;
+}
+
+void
+Worker::fold(RuntimeStats &into) const
+{
+    WorkerCounters &c = into.counters;
+    c.merge(_counters);
+    const StealCoreCounters &core = _core.counters();
+    c.stealAttempts += relaxedLoad(core.stealAttempts);
+    c.yields += relaxedLoad(core.yields);
+    c.framesRecycled += _framePool.framesRecycled();
+    c.remoteFrees += _framePool.remoteFrees();
+    c.slabBytes += _framePool.slabBytes();
+    c.slabFallbacks += _framePool.slabFallbacks();
+    c.dataBytesPooled += _dataHeap.bytesPooled();
+    c.dataRemoteFrees += _dataHeap.remoteFrees();
+    c.dataSlabBytes += _dataHeap.slabBytes();
+    c.dataSlabFallbacks += _dataHeap.slabFallbacks();
+    into.time.merge(_time);
+    for (int k = 0; k < kNumJobClasses; ++k) {
+        into.jobLatency.merge(_jobHist[k]);
+        into.jobLatencyByClass[k].merge(_jobHist[k]);
+    }
 }
 
 void
@@ -132,7 +157,7 @@ Worker::acquireLocal()
     _dequeBitPublished = false;
     // ...then POPMAILBOX: a frame some worker parked here for this place.
     if (TaskBase *t = _mailbox.tryTake()) {
-        ++_counters.mailboxTakes;
+        relaxedAdd(_counters.mailboxTakes);
         return t;
     }
     return nullptr;
@@ -175,10 +200,7 @@ Worker::trySteal()
     // Successful steal: everything past this point is scheduler
     // bookkeeping, charged to scheduling time (the span term).
     enterBucket(TimeSplit::Scheduling);
-    if (from_mailbox)
-        ++_counters.mailboxTakes;
-    else
-        ++_counters.steals;
+    relaxedAdd(from_mailbox ? _counters.mailboxTakes : _counters.steals);
     // Promotion analogue: the task has now migrated off its spawner.
     task->markStolen();
 
@@ -218,18 +240,18 @@ Worker::pushBack(TaskBase *task)
     // give-up path, where load balance wins over locality.
     while (task->pushCount()
            < static_cast<uint32_t>(_core.pushThreshold())) {
-        ++_counters.pushbackAttempts;
+        relaxedAdd(_counters.pushbackAttempts);
         const int receiver =
             _core.pickPushReceiver(first, last, /*self=*/-1, target);
         if (_runtime.worker(receiver).mailbox().tryPut(task)) {
             // tryPut already woke the receiver's socket on the
             // deposit's occupancy edge (Mailbox::attachParking).
-            ++_counters.pushbackSuccesses;
+            relaxedAdd(_counters.pushbackSuccesses);
             return true;
         }
         task->incPushCount();
     }
-    ++_counters.pushbackGiveUps;
+    relaxedAdd(_counters.pushbackGiveUps);
     return false;
 }
 
@@ -283,9 +305,9 @@ Worker::executeTask(TaskBase *task)
                 ? static_cast<int8_t>(_currentJob->opts.cls)
                 : static_cast<int8_t>(-1),
             std::memory_order_relaxed);
-    ++_counters.tasksExecuted;
+    relaxedAdd(_counters.tasksExecuted);
     if (isConcretePlace(task->place()) && task->place() == _place)
-        ++_counters.tasksOnHintedPlace;
+        relaxedAdd(_counters.tasksOnHintedPlace);
 
     try {
         task->run(*this);
@@ -304,19 +326,22 @@ Worker::executeTask(TaskBase *task)
                 ? static_cast<int8_t>(prev_job->opts.cls)
                 : static_cast<int8_t>(-1),
             std::memory_order_relaxed);
+    // Frame release sits on both the normal and the exception path
+    // above: a thrown task body still recycles its frame. It comes
+    // before the join, so a sync that returns finds every child's
+    // frame already back in its pool (a pool's outstanding() is exact
+    // once the job is done).
+    TaskGroup *const g = task->group();
+    const bool stolen = task->stolen();
+    releaseTask(task);
     // The join: a plain owner-side increment unless the child left
     // its spawner (TaskGroup's THE-style counter). The group may be
     // gone the moment a stolen child's increment lands, so this is the
     // last touch of it.
-    if (TaskGroup *g = task->group())
-        g->onChildDone(task->stolen());
-    // Frame release sits on both the normal and the exception path
-    // above: a thrown task body still recycles its frame.
-    releaseTask(task);
-    // Liveness signal for the stall watchdog. Single writer, so a
-    // relaxed load+store suffices — no RMW on the work path.
-    _progressStamp.store(_progressStamp.load(std::memory_order_relaxed) + 1,
-                         std::memory_order_relaxed);
+    if (g != nullptr)
+        g->onChildDone(stolen);
+    // Liveness signal for the stall watchdog (no RMW on the work path).
+    relaxedAdd(_progressStamp);
 }
 
 // Inline into helpSync, its only caller: a nested join then holds one
@@ -329,9 +354,9 @@ Worker::runLocalChild(TaskBase *task, TaskGroup &group)
     enterBucket(TimeSplit::Work);
     const Place prev_hint = _currentHint;
     _currentHint = task->place();
-    ++_counters.tasksExecuted;
+    relaxedAdd(_counters.tasksExecuted);
     if (isConcretePlace(task->place()) && task->place() == _place)
-        ++_counters.tasksOnHintedPlace;
+        relaxedAdd(_counters.tasksOnHintedPlace);
     try {
         task->run(*this);
     } catch (...) {
@@ -343,8 +368,7 @@ Worker::runLocalChild(TaskBase *task, TaskGroup &group)
     // set): only a completion on another thread needs the atomic.
     group.onChildDone(/*stolen=*/false);
     releaseTask(task);
-    _progressStamp.store(_progressStamp.load(std::memory_order_relaxed) + 1,
-                         std::memory_order_relaxed);
+    relaxedAdd(_progressStamp);
 }
 
 void
@@ -422,41 +446,20 @@ Worker::helpSync(TaskGroup &group)
     enterBucket(TimeSplit::Work);
 }
 
-void
-Worker::helpJob(const JobState &job)
+bool
+Worker::helpJobUntil(const JobState &job, int64_t deadline_ns)
 {
     // Like helpSync, but for a job join — and unlike a sync, the wait
     // *claims queued jobs too*: the joined job may still be sitting in
     // the admission queue behind us, and on a single-worker runtime no
     // one else could ever claim it (nested submit-and-wait). Time
     // splits as in helpSync: Work while local or queued work runs.
-    while (!job.done.load(std::memory_order_acquire)) {
-        TaskBase *t = acquireLocal();
-        if (t == nullptr)
-            t = _runtime.takeJob();
-        if (t == nullptr)
-            t = stealWhenDry();
-        if (t != nullptr)
-            executeTask(t);
-        else
-            for (int i = 0;
-                 i < 32 && !job.done.load(std::memory_order_acquire);
-                 ++i)
-                cpuRelax();
-    }
-    enterBucket(TimeSplit::Work);
-}
-
-bool
-Worker::helpJobUntil(const JobState &job, int64_t deadline_ns)
-{
-    // helpJob with a clock bound (the worker-side waitUntil): keep
-    // executing useful work, but stop once the instant passes even if
-    // the job is unresolved. The deadline is checked between task
+    // A bounded wait (waitUntil) stops once the instant passes even if
+    // the job is unresolved; the deadline is checked between task
     // executions only — a long task body overshoots, same as any
-    // cooperative scheme here.
+    // cooperative scheme here — and kNoDeadline reads no clock.
     while (!job.done.load(std::memory_order_acquire)
-           && nowNs() < deadline_ns) {
+           && (deadline_ns == kNoDeadline || nowNs() < deadline_ns)) {
         TaskBase *t = acquireLocal();
         if (t == nullptr)
             t = _runtime.takeJob();
@@ -502,7 +505,7 @@ Worker::retirePark()
     // loop re-enters here every epoch while the verdict holds).
     if (!_retiredNow.load(std::memory_order_relaxed)) {
         _retiredNow.store(true, std::memory_order_relaxed);
-        _interferenceRetires.fetch_add(1, std::memory_order_relaxed);
+        relaxedAdd(_counters.interferenceRetires);
     }
     // Park for one pressure epoch directly on the lot with a
     // shutdown-only predicate: Runtime::idleWait's work predicates
@@ -515,8 +518,8 @@ Worker::retirePark()
     _runtime.parkingLot().park(_place, epoch,
                                [this] { return _runtime.shuttingDown(); });
     _parkedNow.store(false, std::memory_order_relaxed);
-    _parkedNs.fetch_add(static_cast<uint64_t>(nowNs() - park_start),
-                        std::memory_order_relaxed);
+    relaxedAdd(_counters.parkedNs,
+               static_cast<uint64_t>(nowNs() - park_start));
 }
 
 void
@@ -556,8 +559,7 @@ Worker::mainLoop()
                 // Reinstated this iteration: restart the epoch so park
                 // time spent retired never reads as interference.
                 _retiredNow.store(false, std::memory_order_relaxed);
-                _interferenceReinstates.fetch_add(
-                    1, std::memory_order_relaxed);
+                relaxedAdd(_counters.interferenceReinstates);
                 _pressureSensor.begin();
             } else {
                 maybeSamplePressure();
@@ -580,20 +582,19 @@ Worker::mainLoop()
         // budget and decides when spinning should give way to parking.
         _core.noteFruitless();
         if (_core.takeParkRequest()) {
-            _parks.fetch_add(1, std::memory_order_relaxed);
+            relaxedAdd(_counters.parks);
             const int64_t park_start = nowNs();
             _parkedNow.store(true, std::memory_order_relaxed);
             if (_runtime.idleWait(
                     _place, static_cast<int>(_core.parkTimeoutUs())))
-                _parkWakes.fetch_add(1, std::memory_order_relaxed);
+                relaxedAdd(_counters.parkWakes);
             else
-                _parkTimeouts.fetch_add(1, std::memory_order_relaxed);
+                relaxedAdd(_counters.parkTimeouts);
             _parkedNow.store(false, std::memory_order_relaxed);
             // Parked wall time: the elastic-pool yield metric (the
             // fraction of idleness actually handed back to the OS).
             const int64_t parked = nowNs() - park_start;
-            _parkedNs.fetch_add(static_cast<uint64_t>(parked),
-                                std::memory_order_relaxed);
+            relaxedAdd(_counters.parkedNs, static_cast<uint64_t>(parked));
             // Voluntary sleep is not interference: exclude it from the
             // pressure epoch's wall base.
             if (_interferenceEnabled)
@@ -606,8 +607,7 @@ Worker::mainLoop()
                 const bool found = _runtime.board().anyWorkFor(_place)
                                    || _runtime.jobPending();
                 if (!found)
-                    _spuriousWakes.fetch_add(1,
-                                             std::memory_order_relaxed);
+                    relaxedAdd(_counters.spuriousWakes);
                 _core.onParkOutcome(found);
             }
         } else {

@@ -205,10 +205,11 @@ class InterferenceCore
   private:
     struct SocketState
     {
-        /** Hysteresis streaks: leader-written only (single ticker per
-         * socket), so plain ints. */
-        int hot = 0;
-        int cool = 0;
+        /** Hysteresis streaks, ticked by the socket's leader only;
+         * atomic because reset() (Runtime::resetStats) restarts them
+         * from another thread while the leader ticks. */
+        std::atomic<int> hot{0};
+        std::atomic<int> cool{0};
         /** Read by every worker of the socket on its scheduling path. */
         std::atomic<int> retired{0};
         std::atomic<bool> pressured{false};

@@ -9,7 +9,7 @@ StealAction
 StealCore::nextAction()
 {
     NUMAWS_ASSERT(_view.dist != nullptr);
-    ++_counters.stealAttempts;
+    relaxedAdd(_counters.stealAttempts);
     StealAction a;
     a.victim = _view.dist->sample(_self, _rng);
     // BIASEDSTEALWITHPUSH: flip a coin between the victim's mailbox and

@@ -34,6 +34,7 @@
 
 #include "sched/occupancy.h"
 #include "sched/policy.h"
+#include "support/relaxed.h"
 #include "support/rng.h"
 #include "topology/place.h"
 
@@ -128,7 +129,9 @@ class ParkTuner
 };
 
 /** Decision counters the core maintains; engines fold them into their
- * own stats vocabulary (WorkerCounters / SimCounters). */
+ * own stats vocabulary (WorkerCounters / SimCounters). Single-writer
+ * words (support/relaxed.h): a threaded engine reads them with
+ * relaxedLoad while the owning worker runs. */
 struct StealCoreCounters
 {
     uint64_t stealAttempts = 0; ///< victim probes issued
@@ -278,7 +281,7 @@ class StealCore
     bool takeYieldRequest() { return _yieldRequested.take(); }
 
     /** A consumed directive actually claimed a job (counter credit). */
-    void noteYieldServiced() { ++_counters.yields; }
+    void noteYieldServiced() { relaxedAdd(_counters.yields); }
 
     /**
      * Preemption victim among @p n workers whose running job classes
@@ -315,7 +318,6 @@ class StealCore
     /** @name Introspection (engines fold counters; tests poke state) */
     /// @{
     const StealCoreCounters &counters() const { return _counters; }
-    void resetCounters() { _counters = StealCoreCounters{}; }
     const ParkTuner &parkTuner() const { return _tuner; }
     Rng &rng() { return _rng; }
     /// @}

@@ -9,12 +9,15 @@
  * a bounded 1/kSub (12.5%) relative bucket width everywhere. record() is
  * two array ops and a bit scan — no allocation, fit for a worker's
  * job-completion path — and histograms merge by bucket-wise addition, so
- * Runtime::stats() can fold per-worker instances without locks.
+ * Runtime::stats() can fold per-worker instances without locks, while
+ * their owners record.
  */
 #ifndef NUMAWS_SUPPORT_LATENCY_HIST_H
 #define NUMAWS_SUPPORT_LATENCY_HIST_H
 
 #include <cstdint>
+
+#include "support/relaxed.h"
 
 namespace numaws {
 
@@ -33,28 +36,31 @@ class LatencyHist
     void
     record(uint64_t v)
     {
-        ++_counts[indexOf(v)];
-        ++_total;
-        _sum += v;
+        relaxedAdd(_counts[indexOf(v)]);
+        relaxedAdd(_total);
+        relaxedAdd(_sum, v);
         if (_total == 1 || v < _min)
-            _min = v;
+            relaxedStore(_min, v);
         if (v > _max)
-            _max = v;
+            relaxedStore(_max, v);
     }
 
     void
     merge(const LatencyHist &o)
     {
         for (int i = 0; i < kBuckets; ++i)
-            _counts[i] += o._counts[i];
-        if (o._total > 0) {
-            if (_total == 0 || o._min < _min)
-                _min = o._min;
-            if (o._max > _max)
-                _max = o._max;
+            _counts[i] += relaxedLoad(o._counts[i]);
+        const uint64_t total = relaxedLoad(o._total);
+        if (total > 0) {
+            const uint64_t lo = relaxedLoad(o._min);
+            const uint64_t hi = relaxedLoad(o._max);
+            if (_total == 0 || lo < _min)
+                _min = lo;
+            if (hi > _max)
+                _max = hi;
         }
-        _total += o._total;
-        _sum += o._sum;
+        _total += total;
+        _sum += relaxedLoad(o._sum);
     }
 
     uint64_t count() const { return _total; }

@@ -9,6 +9,8 @@
 #include <chrono>
 #include <cstdint>
 
+#include "support/relaxed.h"
+
 namespace numaws {
 
 /** Monotonic nanosecond timestamp. */
@@ -46,26 +48,32 @@ class WallTimer
  * Accumulator that splits a worker's lifetime into named buckets
  * (work / scheduling / idle), mirroring the paper's Figure 3 and 8
  * decomposition. The caller brackets each activity with enter/exit.
+ * Each bucket is a single-writer word (support/relaxed.h): the owning
+ * worker adds, and merge() may read a live owner's split.
  */
 class TimeSplit
 {
   public:
     enum Bucket { Work = 0, Scheduling = 1, Idle = 2, NumBuckets = 3 };
 
-    void
-    add(Bucket b, int64_t ns)
-    {
-        _ns[b] += ns;
-    }
+    void add(Bucket b, int64_t ns) { relaxedAdd(_ns[b], ns); }
 
-    int64_t ns(Bucket b) const { return _ns[b]; }
-    double seconds(Bucket b) const { return static_cast<double>(_ns[b]) * 1e-9; }
+    int64_t ns(Bucket b) const { return relaxedLoad(_ns[b]); }
+    double seconds(Bucket b) const { return 1e-9 * ns(b); }
 
     void
     merge(const TimeSplit &other)
     {
         for (int b = 0; b < NumBuckets; ++b)
-            _ns[b] += other._ns[b];
+            _ns[b] += other.ns(static_cast<Bucket>(b));
+    }
+
+    /** Remove a baseline taken earlier from the same split. */
+    void
+    subtract(const TimeSplit &base)
+    {
+        for (int b = 0; b < NumBuckets; ++b)
+            _ns[b] -= base._ns[b];
     }
 
   private:

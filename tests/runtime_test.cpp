@@ -1,13 +1,16 @@
 /**
  * @file
  * Threaded runtime tests: fork-join correctness, nesting, exceptions,
- * parallel_for semantics, repeated runs, and work-stealing liveness.
+ * parallel_for semantics, repeated runs, work-stealing liveness, and
+ * stats() polled while workers run.
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "runtime/api.h"
@@ -204,6 +207,136 @@ TEST(Runtime, StatsCountSpawnsAndTasks)
     EXPECT_GT(f.counters.spawns, 0u);
     EXPECT_EQ(f.counters.tasksExecuted, f.counters.spawns + 1);
     EXPECT_EQ(f.counters.framesRecycled, f.counters.spawns);
+}
+
+uint64_t
+fibSpawning(int n)
+{
+    if (n < 2)
+        return static_cast<uint64_t>(n);
+    uint64_t a = 0;
+    TaskGroup tg;
+    tg.spawn([&a, n] { a = fibSpawning(n - 1); });
+    const uint64_t b = fibSpawning(n - 2);
+    tg.sync();
+    return a + b;
+}
+
+/** Spawns fibSpawning(n) issues: one per call with n >= 2. */
+uint64_t
+fibSpawnCount(int n)
+{
+    return n < 2 ? 0 : 1 + fibSpawnCount(n - 1) + fibSpawnCount(n - 2);
+}
+
+/** Every counter, time bucket and outcome tally of @p s, in a fixed
+ * order. WorkerCounters is all uint64_t fields, so it is copied whole
+ * and a newly added counter is checked too. */
+std::vector<uint64_t>
+statWords(const RuntimeStats &s)
+{
+    static_assert(sizeof(WorkerCounters) % sizeof(uint64_t) == 0);
+    std::vector<uint64_t> w(sizeof(WorkerCounters) / sizeof(uint64_t));
+    std::memcpy(w.data(), &s.counters, sizeof(WorkerCounters));
+    for (int b = 0; b < TimeSplit::NumBuckets; ++b)
+        w.push_back(static_cast<uint64_t>(
+            s.time.ns(static_cast<TimeSplit::Bucket>(b))));
+    for (const JobOutcomeCounts &o : s.jobOutcomes)
+        for (uint64_t v : {o.done, o.failed, o.cancelled, o.expired,
+                           o.rejected, o.shed})
+            w.push_back(v);
+    return w;
+}
+
+TEST(Runtime, StatsPolledWhileWorkersRunNeverGoBackwards)
+{
+    constexpr int kJobs = 24;
+    constexpr int kFib = 16;
+    Runtime rt(smallOptions(4));
+    // Odd while a resetStats() is in flight: a poll is compared with the
+    // previous one only if both saw the same even value around stats().
+    std::atomic<uint64_t> epoch{0};
+    std::atomic<bool> stop{false};
+    std::atomic<uint64_t> polls{0};
+    std::atomic<uint64_t> compared{0};
+    std::atomic<uint64_t> decreases{0};
+    std::thread poller([&] {
+        std::vector<uint64_t> prev;
+        uint64_t prev_epoch = 1;
+        while (!stop.load()) {
+            const uint64_t e = epoch.load();
+            const std::vector<uint64_t> cur = statWords(rt.stats());
+            const bool stable = (e & 1) == 0 && epoch.load() == e;
+            if (stable && e == prev_epoch) {
+                for (std::size_t i = 0; i < cur.size(); ++i)
+                    if (cur[i] < prev[i])
+                        decreases.fetch_add(1);
+                compared.fetch_add(1);
+            }
+            prev = cur;
+            prev_epoch = stable ? e : 1;
+            polls.fetch_add(1);
+            std::this_thread::yield();
+        }
+    });
+    auto burst = [&] {
+        std::vector<JobHandle> handles;
+        for (int j = 0; j < kJobs; ++j)
+            handles.push_back(rt.submit([] {
+                EXPECT_EQ(fibSpawning(kFib), workloads::fibSerial(kFib));
+            }));
+        for (JobHandle &h : handles)
+            h.wait();
+    };
+    burst();
+    epoch.fetch_add(1);
+    rt.resetStats();
+    epoch.fetch_add(1);
+    burst();
+    // Three more polls after the last job: the one in flight may have
+    // read the epoch mid-reset, but the next two both start after it
+    // and compare, so at least one comparison is guaranteed.
+    const uint64_t seen = polls.load();
+    while (polls.load() < seen + 3)
+        std::this_thread::yield();
+    stop.store(true);
+    poller.join();
+    EXPECT_GT(compared.load(), 0u);
+    EXPECT_EQ(decreases.load(), 0u);
+
+    const RuntimeStats s = rt.stats();
+    EXPECT_EQ(s.counters.spawns, kJobs * fibSpawnCount(kFib));
+    EXPECT_EQ(s.counters.tasksExecuted, s.counters.spawns + kJobs);
+    EXPECT_EQ(s.counters.jobsCompleted, static_cast<uint64_t>(kJobs));
+    uint64_t done = 0;
+    for (const JobOutcomeCounts &o : s.jobOutcomes)
+        done += o.done;
+    EXPECT_EQ(done, static_cast<uint64_t>(kJobs));
+}
+
+TEST(Runtime, ResetStatsReadsLikeAFreshRuntime)
+{
+    // One worker: no steals, so every count below is deterministic.
+    Runtime reset(smallOptions(1));
+    workloads::fibParallel(reset, 20, 2);
+    reset.resetStats();
+    workloads::fibParallel(reset, 20, 2);
+    const WorkerCounters a = reset.stats().counters;
+
+    Runtime fresh(smallOptions(1));
+    workloads::fibParallel(fresh, 20, 2);
+    const WorkerCounters first = fresh.stats().counters;
+    workloads::fibParallel(fresh, 20, 2);
+    const WorkerCounters both = fresh.stats().counters;
+
+    EXPECT_EQ(a.spawns, first.spawns);
+    EXPECT_EQ(a.tasksExecuted, first.tasksExecuted);
+    // The second run recycles from a warm pool on either runtime.
+    EXPECT_EQ(a.framesRecycled, both.framesRecycled - first.framesRecycled);
+    EXPECT_EQ(a.framesRecycled, a.spawns);
+    // The slab gauge survives the reset: it is never subtracted.
+    EXPECT_GT(a.slabBytes, 0u);
+    EXPECT_EQ(a.slabBytes, both.slabBytes);
 }
 
 TEST(Runtime, ApiQueriesInsideAndOutside)
